@@ -180,12 +180,12 @@ func runClockPin(t *testing.T, fx *fixture, nprocs int, run clockPinRun, batches
 		if run.serve {
 			r.res, r.stats, r.err = mpiblast.Serve(nodes, nprocs, cfg, &job, run.base, batches, 0)
 		} else {
-			r.res, r.err = mpiblast.RunOpts(nodes, nprocs, cfg, &job, run.base)
+			r.res, r.err = mpiblast.Run(nodes, nprocs, cfg, &job, run.base)
 		}
 	case run.serve:
 		r.res, r.stats, r.err = core.Serve(nodes, nprocs, cfg, &job, run.pio, batches, 0)
 	default:
-		r.res, r.err = core.RunConfig(nodes, nprocs, cfg, &job, run.pio)
+		r.res, r.err = core.Run(nodes, nprocs, cfg, &job, run.pio)
 	}
 	if r.err == nil {
 		out, err := nodes[0].Shared.ReadFile(fx.job.OutputPath)

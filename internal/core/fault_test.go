@@ -26,9 +26,9 @@ func crashSpec(t *testing.T, fx *fixture, eng string, nprocs int, faults []mpi.F
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nprocs-1); err != nil {
 			t.Fatal(err)
 		}
-		res, err = mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
+		res, err = mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{})
 	case "pio":
-		res, err = core.RunConfig(nodes, nprocs, cfg, &job, core.Options{FaultTolerant: true})
+		res, err = core.Run(nodes, nprocs, cfg, &job, core.Options{FaultTolerant: true})
 	}
 	if err != nil {
 		t.Fatalf("%s crashed run failed: %v", eng, err)
@@ -93,7 +93,7 @@ func TestCrashRankZeroRejected(t *testing.T) {
 
 	nodes := fx.newCluster(t, 3, vfs.XFSLike(), nil, 0)
 	job := *fx.job
-	if _, err := core.RunConfig(nodes, 3, cfg, &job, core.Options{}); err == nil ||
+	if _, err := core.Run(nodes, 3, cfg, &job, core.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("core accepted a master crash: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestCrashRankZeroRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	job2 := *fx.job
-	if _, err := mpiblast.RunOpts(nodes2, 3, cfg, &job2, mpiblast.Options{}); err == nil ||
+	if _, err := mpiblast.Run(nodes2, 3, cfg, &job2, mpiblast.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "rank 0") {
 		t.Errorf("mpiblast accepted a master crash: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestCrashDuringOutputUnrecoverable(t *testing.T) {
 	}
 	job := *fx.job
 	cfg := mpi.Config{Cost: testCost(), Faults: []mpi.Fault{{Rank: nprocs - 1, At: at, Kind: mpi.FaultCrash}}}
-	_, err := mpiblast.RunOpts(nodes, nprocs, cfg, &job, mpiblast.Options{})
+	_, err := mpiblast.Run(nodes, nprocs, cfg, &job, mpiblast.Options{})
 	if err == nil {
 		t.Skip("crash window missed the output phase on this cost model")
 	}
@@ -159,7 +159,7 @@ func TestCrashRecoveryWithReadPathModes(t *testing.T) {
 		job := *fx.job
 		job.Fragments = 9
 		cfg := mpi.Config{Cost: testCost(), Faults: faults}
-		res, err := core.RunConfig(nodes, nprocs, cfg, &job, opts)
+		res, err := core.Run(nodes, nprocs, cfg, &job, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}

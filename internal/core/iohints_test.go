@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parblast/internal/core"
+	"parblast/internal/mpi"
 	"parblast/internal/mpiio"
 	"parblast/internal/vfs"
 )
@@ -50,7 +51,7 @@ func TestIOHintsValidatedUpFront(t *testing.T) {
 	fx := makeFixture(t, 200)
 	nodes := fx.newCluster(t, 2, vfs.XFSLike(), nil, 0)
 	job := *fx.job
-	_, err := core.Run(nodes, 2, testCost(), &job, core.Options{
+	_, err := core.Run(nodes, 2, mpi.Config{Cost: testCost()}, &job, core.Options{
 		IOHints: mpiio.Hints{SieveGap: -1},
 	})
 	if err == nil {

@@ -105,7 +105,7 @@ func TestMpiblastQueryLatencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := *fx.job
-		res, err := mpiblast.RunOpts(nodes, 4, mpi.Config{Cost: testCost()}, &job,
+		res, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job,
 			mpiblast.Options{TreeMerge: tree})
 		if err != nil {
 			t.Fatal(err)

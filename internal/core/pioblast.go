@@ -26,10 +26,15 @@
 //     contributes the header, summary, and statistics trailer through its
 //     own view.
 //
-// The engine runs in two phases, like the baseline: every worker first
-// searches all queries against its virtual fragments, then the ranks run
-// the per-query merge/output protocol. The §5 future-work extensions are
-// implemented behind Options:
+// One master loop (runMaster) and one worker loop (runWorker) serve both
+// entry points. Run is a one-shot job in two phases, like the baseline:
+// the queries ride in the job broadcast, every worker acquires its virtual
+// fragments and searches them as they arrive, then the ranks run the
+// per-batch merge/output protocol. Serve keeps the cluster warm: workers
+// acquire and RETAIN their fragments with no queries yet, and each
+// admitted stream batch is broadcast, searched against the resident
+// fragments, and merged and written by the same code. The §5 future-work
+// extensions are implemented behind Options:
 //
 //   - EarlyPrune: early score communication — a global score threshold is
 //     agreed before rendering, so hopeless candidates are dropped at the
@@ -108,20 +113,15 @@ type Options struct {
 	// derives the same batch boundaries, packing as many queries per
 	// collective write as fit the budget. Overrides QueryBatch.
 	MemoryBudgetBytes int64
-	// NodeSpeeds optionally declares per-rank compute-speed factors
-	// (1 = baseline, 2 = twice as slow), modelling heterogeneous nodes.
-	NodeSpeeds []float64
 	// FaultTolerant enables the worker-failure recovery protocol: a
 	// ready/go rendezvous after the search phase in which the master
 	// detects dead workers and re-issues their VIRTUAL partitions (offset
 	// ranges — no data movement) to survivors. Enabled automatically when
 	// the MPI config schedules faults; can be forced on to measure the
-	// protocol's fault-free overhead.
+	// protocol's fault-free overhead. Detection polls every 250 ×
+	// NetLatency virtual seconds; it is timeout-paced but never wrong: a
+	// timeout only triggers a ground-truth liveness check.
 	FaultTolerant bool
-	// FaultTimeout is the failure-detection polling interval in virtual
-	// seconds (0 = 250 × NetLatency). Detection is timeout-paced but never
-	// wrong: a timeout only triggers a ground-truth liveness check.
-	FaultTimeout float64
 	// TreeMerge replaces the flat worker→master metadata streams with the
 	// hierarchical group merge: workers pre-merge their batch metadata up
 	// a k-ary reduction tree (the same top-k selection the master runs, so
@@ -162,6 +162,9 @@ type wireExtent struct {
 // jobMeta is the broadcast that seeds every worker. The shell is cold-path
 // gob; the query payload inside is pre-encoded with the compact codec
 // (engine.EncodeWireQueries), since it dominates the broadcast bytes.
+// Its gob shape and serveBatchMsg's — field names, types and order — are
+// frozen: Bcast charges by payload bytes, so any change to them moves every
+// rank's virtual clock.
 type jobMeta struct {
 	Queries  []byte // engine.EncodeWireQueries payload
 	Title    string
@@ -183,7 +186,8 @@ type jobMeta struct {
 	QueryBatch int
 	MemBudget  int64
 	// FT enables the ready/go failure-recovery rendezvous after the search
-	// phase; FTTimeout is the master's detection polling interval.
+	// phase; FTTimeout is the master's detection polling interval (250 ×
+	// NetLatency).
 	FT        bool
 	FTTimeout float64
 	// Tree selects the hierarchical metadata merge over the k-ary
@@ -372,42 +376,85 @@ func decodeSelection(data []byte) (selection, error) {
 	return s, r.Err()
 }
 
-// Run executes pioBLAST on nprocs ranks (rank 0 master, workers 1..n-1).
-// The database is the ONE global formatted database — no fragments needed.
-func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job, opts Options) (engine.RunResult, error) {
-	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost, Speeds: opts.NodeSpeeds}, job, opts)
+// Run executes a one-shot pioBLAST job on nprocs ranks (rank 0 master,
+// workers 1..n-1) under the given MPI configuration. The database is the
+// ONE global formatted database — no fragments needed.
+func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
+	s, err := newSession(nodes, nprocs, cfg, job, opts, false)
+	if err != nil {
+		return engine.RunResult{}, err
+	}
+	return s.launch(nil)
 }
 
-// RunConfig is Run with an explicit MPI configuration (heterogeneity).
-func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
+// session is the setup Run and Serve share: the validated inputs and the
+// job broadcast that seeds every worker.
+type session struct {
+	nodes      []*vfs.Node
+	nprocs     int
+	cfg        mpi.Config
+	job        *engine.Job
+	tuner      *mpiio.Tuner
+	meta       jobMeta
+	indexBytes int64 // global index files the master reads to partition
+}
+
+// newSession validates a run — serve adds the serving mode's own limits —
+// partitions the database and builds the job broadcast.
+func newSession(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (*session, error) {
 	if err := job.Validate(); err != nil {
-		return engine.RunResult{}, err
+		return nil, err
 	}
 	if nprocs < 2 {
-		return engine.RunResult{}, fmt.Errorf("core: need ≥2 ranks (1 master + workers), got %d", nprocs)
+		return nil, fmt.Errorf("core: need ≥2 ranks (1 master + workers), got %d", nprocs)
 	}
 	if len(nodes) < nprocs {
-		return engine.RunResult{}, fmt.Errorf("core: %d nodes for %d ranks", len(nodes), nprocs)
+		return nil, fmt.Errorf("core: %d nodes for %d ranks", len(nodes), nprocs)
 	}
 	if opts.QueryBatch < 0 {
-		return engine.RunResult{}, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+		return nil, fmt.Errorf("core: negative query batch %d", opts.QueryBatch)
+	}
+	if serve {
+		// A serving cluster keeps its partitions resident, and its batch
+		// boundaries come from the arrival stream.
+		switch {
+		case opts.DynamicAssignment:
+			return nil, fmt.Errorf("core: serve mode requires static assignment (partitions must stay resident across batches)")
+		case opts.MemoryBudgetBytes > 0:
+			return nil, fmt.Errorf("core: serve mode does not support adaptive batching (batch boundaries come from the arrival stream)")
+		case opts.QueryBatch > 1:
+			return nil, fmt.Errorf("core: serve mode does not support query batching (each arrival batch is one output batch)")
+		}
 	}
 	if err := opts.IOHints.Validate(); err != nil {
-		return engine.RunResult{}, err
+		return nil, err
+	}
+	// Failure recovery only covers workers: the master holds the output
+	// layout and the failure detector itself.
+	for _, f := range cfg.Faults {
+		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
+			return nil, fmt.Errorf("core: cannot inject a crash into rank 0 (the master)")
+		}
+	}
+	fanout := opts.MergeFanout
+	if fanout == 0 {
+		fanout = mpi.DefaultTreeFanout
+	}
+	if opts.TreeMerge && fanout < 2 {
+		return nil, fmt.Errorf("core: merge fan-out %d < 2", opts.MergeFanout)
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return engine.RunResult{}, err
+		return nil, err
 	}
-	workers := nprocs - 1
 	nParts := job.Fragments
 	if nParts == 0 {
-		nParts = workers // natural partitioning
+		nParts = nprocs - 1 // natural partitioning
 	}
 	parts, err := db.Partition(nParts)
 	if err != nil {
-		return engine.RunResult{}, err
+		return nil, err
 	}
 	wireParts := make([][]wireExtent, len(parts))
 	for pi, p := range parts {
@@ -431,27 +478,7 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 	if batch < 1 {
 		batch = 1
 	}
-	// Failure recovery only covers workers: the master holds the output
-	// layout and the failure detector itself.
-	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
-			return engine.RunResult{}, fmt.Errorf("core: cannot inject a crash into rank 0 (the master)")
-		}
-	}
-	ft := opts.FaultTolerant || len(cfg.Faults) > 0
-	ftTimeout := opts.FaultTimeout
-	if ftTimeout <= 0 {
-		ftTimeout = 250 * cfg.Cost.NetLatency
-	}
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, fmt.Errorf("core: merge fan-out %d < 2", opts.MergeFanout)
-	}
 	meta := jobMeta{
-		Queries:     engine.EncodeWireQueries(engine.PackQueries(job.Queries)),
 		Title:       db.Title,
 		Kind:        db.Kind,
 		NumSeqs:     db.NumSeqs,
@@ -462,17 +489,18 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 		Independent: opts.IndependentOutput,
 		Dynamic:     opts.DynamicAssignment,
 		Collective:  opts.CollectiveRead,
-		Prefetch:    opts.PrefetchDepth,
+		Prefetch:    max(opts.PrefetchDepth, 0),
 		QueryBatch:  batch,
 		MemBudget:   opts.MemoryBudgetBytes,
-		FT:          ft,
-		FTTimeout:   ftTimeout,
+		FT:          opts.FaultTolerant || len(cfg.Faults) > 0,
+		FTTimeout:   250 * cfg.Cost.NetLatency,
 		Tree:        opts.TreeMerge,
 		TreeFanout:  fanout,
 		IOHints:     opts.IOHints,
+		Serve:       serve,
 	}
-	if meta.Prefetch < 0 {
-		meta.Prefetch = 0
+	if !serve {
+		meta.Queries = engine.EncodeWireQueries(engine.PackQueries(job.Queries))
 	}
 	// The master reads the (small) index files to compute the partition.
 	var indexBytes int64
@@ -481,42 +509,36 @@ func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 			indexBytes += f.Size()
 		}
 	}
-
 	if cfg.Comm == nil {
 		cfg.Comm = mpi.NewCommStats(nprocs)
 	}
-	// Per-query latency sink, filled by the master goroutine and read only
-	// after mpi.RunConfig returns (the run's WaitGroup is the barrier).
-	qlat := make([]float64, len(job.Queries))
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
+	return &session{nodes: nodes, nprocs: nprocs, cfg: cfg, job: job, tuner: opts.IOTuner, meta: meta, indexBytes: indexBytes}, nil
+}
+
+// launch runs the master and the workers and summarizes the run; st is
+// the arrival stream of a serving run, nil for a one-shot run.
+func (s *session) launch(st *stream) (engine.RunResult, error) {
+	// Per-query latency sink, appended by the master goroutine only and
+	// read after mpi.RunConfig returns (the run's WaitGroup is the barrier).
+	var qlat []float64
+	clocks, err := mpi.RunConfig(s.nprocs, s.cfg, func(r *mpi.Rank) error {
 		if r.ID() == 0 {
-			return runMaster(r, nodes[0], job, meta, indexBytes, opts.IOTuner, qlat)
+			return s.runMaster(r, st, &qlat)
 		}
-		return runWorker(r, nodes[r.ID()], job.Options, opts.IOTuner)
+		return runWorker(r, s.nodes[r.ID()], s.job.Options, s.tuner)
 	})
 	if err != nil {
 		return engine.RunResult{}, err
 	}
 	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
+	if f, err := s.nodes[0].Shared.Open(s.job.OutputPath); err == nil {
 		outBytes = f.Size()
 	}
 	res := engine.Summarize(clocks, outBytes)
 	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
+	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = s.cfg.Comm.Totals()
+	res.AddIOFaults(s.nodes)
 	return res, nil
-}
-
-// runBatches drives fn over the half-open ranges defined by boundary list
-// bounds (bounds[i] .. bounds[i+1]).
-func runBatches(bounds []int, fn func(int, int) error) error {
-	for i := 0; i+1 < len(bounds); i++ {
-		if err := fn(bounds[i], bounds[i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // adaptiveBounds packs queries into batches whose summed cached-output
@@ -561,15 +583,30 @@ func exchangeVolumes(r *mpi.Rank, local []int64) []int64 {
 	return total
 }
 
-func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, indexBytes int64, tuner *mpiio.Tuner, qlat []float64) error {
+// outputBounds is the fixed output-batch boundary list of an n-query set:
+// QueryBatch queries per collective write, or the whole set in a serving
+// run, where each arrival batch is one output batch.
+func outputBounds(meta jobMeta, n int) []int {
+	if meta.Serve {
+		return fixedBounds(n, n)
+	}
+	return fixedBounds(n, meta.QueryBatch)
+}
+
+// runMaster is the master's one loop for both modes: partition assignment,
+// then per query set the ready/go rendezvous (fault tolerance) and the
+// batched merge/output. A one-shot run has one query set, the job's; a
+// serving run has none at warm-up and then one per admitted stream batch.
+func (s *session) runMaster(r *mpi.Rank, st *stream, qlat *[]float64) error {
+	node, meta := s.nodes[0], s.meta
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
 	r.SetPhase(simtime.PhaseInput)
-	r.IO(node.Shared, indexBytes) // read the global index files for partitioning
+	r.IO(node.Shared, s.indexBytes) // read the global index files for partitioning
 	r.SetPhase(simtime.PhaseOther)
 	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
+	// Admission of a one-shot job: every query is "in the system" once the
+	// job metadata broadcast completes — the latency baseline for all.
 	admit := r.Clock().Now()
 
 	workers := r.Size() - 1
@@ -642,60 +679,49 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, index
 			// an aggregator domain here, turning otherwise idle time into
 			// useful sequential I/O.
 			r.SetPhase(simtime.PhaseInput)
-			if _, err := readPartsCollective(r, newFileCache(r, node.Shared, meta.IOHints, tuner), meta, nil); err != nil {
+			if _, err := readPartsCollective(r, newFileCache(r, node.Shared, meta.IOHints, s.tuner), meta, nil); err != nil {
 				return err
 			}
 			r.SetPhase(simtime.PhaseIdle)
 		}
 	}
 
-	if meta.FT {
-		var err error
-		alive, err = syncWorkers(r, meta, alive, partsOf, pending)
-		if err != nil {
-			return err
-		}
-	}
-
-	searcher, err := blast.NewSearcher(job.Options)
+	searcher, err := blast.NewSearcher(s.job.Options)
 	if err != nil {
 		return err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
+	out := mpiio.OpenOrCreate(r, node.Shared, s.job.OutputPath)
 	if err := out.SetHints(meta.IOHints); err != nil {
 		return err
 	}
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-
+	mb := &masterBatch{
+		r: r, meta: meta, renderOpts: s.job.Options, searcher: searcher,
+		maxTargets: searcher.Options().MaxTargetSeqs,
+		dbInfo:     blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen},
+		out:        out,
+	}
 	recvWorker := recvWorkerFn(r, meta)
 
-	bounds := fixedBounds(len(job.Queries), meta.QueryBatch)
-	if meta.MemBudget > 0 {
-		r.SetPhase(simtime.PhaseIdle)
-		volumes := exchangeVolumes(r, make([]int64, len(job.Queries)))
-		bounds = adaptiveBounds(volumes, meta.MemBudget)
+	queries, arrival, firstID := s.job.Queries, admit, 0
+	if st != nil {
+		queries = nil
 	}
-	mb := &masterBatch{
-		r: r, meta: meta, renderOpts: job.Options, searcher: searcher,
-		maxTargets: maxTargets, dbInfo: dbInfo, out: out,
-	}
-	batchIdx := -1
-	err = runBatches(bounds, func(q0, q1 int) error {
-		// Stamp the batch ordinal as the trace context: every envelope the
-		// master sends for this batch carries it, and receivers propagate it.
-		batchIdx++
-		r.SetTraceBatch(batchIdx)
-		return mb.mergeBatch(job.Queries, q0, q1, alive, recvWorker, func(q int) {
-			// The query's results are now globally merged and laid out:
-			// its end-to-end latency is settled on the master's clock.
-			lat := r.Clock().Now() - admit
-			qlat[q] = lat
-			engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
-		})
-	})
-	if err != nil {
-		return err
+	for {
+		if meta.FT {
+			// Ready/go rendezvous: detect crashes since the last one and
+			// re-issue the dead workers' partitions before the merge.
+			if alive, err = syncWorkers(r, meta, alive, partsOf, pending); err != nil {
+				return err
+			}
+			pending = nil
+		}
+		if err := mb.mergeSet(queries, arrival, firstID, alive, recvWorker, qlat); err != nil {
+			return err
+		}
+		if st == nil || !st.next(r) {
+			break
+		}
+		queries, arrival, firstID = st.cur.Queries, st.arrival, st.cur.Seq
 	}
 	r.SetPhase(simtime.PhaseOther)
 	r.Barrier()
@@ -736,6 +762,36 @@ type masterBatch struct {
 	dbInfo     blast.DBInfo
 	out        *mpiio.File
 	off        int64
+}
+
+// mergeSet merges and writes one query set batch by batch. Batch i carries
+// trace-batch id firstID+i: one-shot batches count up from 0, and a stream
+// batch is one output batch carrying its arrival Seq. Each query's latency
+// is measured from arrival, the set's admission clock.
+func (mb *masterBatch) mergeSet(queries []*seq.Sequence, arrival float64, firstID int, alive []int, recvWorker func(w, tag int) ([]byte, error), qlat *[]float64) error {
+	r := mb.r
+	bounds := outputBounds(mb.meta, len(queries))
+	if mb.meta.MemBudget > 0 {
+		r.SetPhase(simtime.PhaseIdle)
+		volumes := exchangeVolumes(r, make([]int64, len(queries)))
+		bounds = adaptiveBounds(volumes, mb.meta.MemBudget)
+	}
+	for i := 0; i+1 < len(bounds); i++ {
+		// The batch id is the trace context: every envelope the master
+		// sends for this batch carries it, and receivers propagate it.
+		r.SetTraceBatch(firstID + i)
+		err := mb.mergeBatch(queries, bounds[i], bounds[i+1], alive, recvWorker, func(q int) {
+			// The query's results are now globally merged and laid out:
+			// its end-to-end latency is settled on the master's clock.
+			lat := r.Clock().Now() - arrival
+			*qlat = append(*qlat, lat)
+			engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeBatch runs the master side of one batch over queries[q0:q1]:
@@ -950,15 +1006,31 @@ func syncWorkers(r *mpi.Rank, meta jobMeta, alive []int, partsOf [][]int, pendin
 	}
 }
 
-// workerState is everything a worker caches between the search and output
-// phases: the subjects it searched, plus per-query hit lists.
-type workerState struct {
-	frag  blast.Fragment // all subjects this worker searched
-	byOID map[int]int    // OID -> index into frag.Subjects
-	hits  [][]*blast.SubjectResult
-	work  []blast.WorkCounters
+// worker is one worker rank's state for the whole run: the fragments it
+// has acquired — kept resident, so a serving worker searches every stream
+// batch against them — the current query set, and that set's per-query
+// hits and work counters.
+type worker struct {
+	r        *mpi.Rank
+	meta     jobMeta
+	opts     blast.Options
+	searcher *blast.Searcher
+	ctx      *blast.Context
+	files    *fileCache
+	resident []*blast.Fragment
+	frag     blast.Fragment // every resident subject, for block rendering
+	byOID    map[int]int    // OID -> index into frag.Subjects
+	queries  []*seq.Sequence
+	hits     [][]*blast.SubjectResult
+	work     []blast.WorkCounters
 }
 
+// runWorker is the worker's one loop for both modes: acquire the virtual
+// partitions, then per query set the ready/go rendezvous (fault
+// tolerance) and the batched merge/output. A one-shot worker's query set
+// rides in the job broadcast and is searched as partitions arrive; a
+// serving worker acquires with no queries and then searches each stream
+// batch against its resident partitions.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tuner) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
@@ -966,106 +1038,159 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
-	if meta.Serve {
-		// Streaming run: queries arrive per batch; partitions stay warm.
-		return runServeWorker(r, node, meta, opts, tuner)
-	}
-	wq, err := engine.DecodeWireQueries(meta.Queries)
-	if err != nil {
-		return err
-	}
-	queries := wq.Unpack()
 	searcher, err := blast.NewSearcher(opts)
 	if err != nil {
 		return err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
-
-	st := &workerState{
-		byOID: make(map[int]int),
-		hits:  make([][]*blast.SubjectResult, len(queries)),
-		work:  make([]blast.WorkCounters, len(queries)),
+	w := &worker{
+		r: r, meta: meta, opts: opts, searcher: searcher, ctx: searcher.NewContext(),
+		files: newFileCache(r, node.Shared, meta.IOHints, tuner), byOID: make(map[int]int),
 	}
-
-	// Phase 1: acquire virtual fragments and search every query against
-	// them. Static mode reads a fixed set ("the input stage") — optionally
-	// with collective reads or an async prefetch pipeline; dynamic mode
-	// interleaves greedy assignment, reading, and searching.
-	files := newFileCache(r, node.Shared, meta.IOHints, tuner)
-	searchFrag := func(frag *blast.Fragment) error {
-		base := len(st.frag.Subjects)
-		st.frag.Subjects = append(st.frag.Subjects, frag.Subjects...)
-		for i := base; i < len(st.frag.Subjects); i++ {
-			st.byOID[st.frag.Subjects[i].OID] = i
-		}
-		r.SetPhase(simtime.PhaseSearch)
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-			st.hits[qi] = append(st.hits[qi], res.Hits...)
-			st.work[qi].Add(res.Work)
-			r.Yield()
-		}
-		return nil
-	}
-	searchPart := func(part []wireExtent) error {
-		r.Yield() // keep virtual-time order across ranks' storage accesses
-		r.SetPhase(simtime.PhaseInput)
-		frag, err := readPart(files, part)
+	if !meta.Serve {
+		queries, err := unpackQueries(meta.Queries)
 		if err != nil {
 			return err
 		}
-		return searchFrag(frag)
+		w.setQueries(queries)
 	}
-	// searchPipelined searches a known list of partitions, keeping the
-	// asynchronous reads of up to meta.Prefetch upcoming partitions in
-	// flight while the current one is searched.
-	searchPipelined := func(parts []int) error {
-		fetches := make([]*partFetch, len(parts))
-		next := 0
-		for cur := range parts {
-			r.Yield()
-			r.SetPhase(simtime.PhaseInput)
-			for next <= cur+meta.Prefetch && next < len(parts) {
-				pf, err := startPartFetch(files, meta.Parts[parts[next]])
-				if err != nil {
-					return err
-				}
-				fetches[next] = pf
-				next++
-			}
-			frag, err := fetches[cur].finish()
-			fetches[cur] = nil
-			if err != nil {
-				return err
-			}
-			if err := searchFrag(frag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	searchStatic := func(parts []int) error {
-		if meta.Prefetch > 0 {
-			return searchPipelined(parts)
-		}
-		for _, pi := range parts {
-			if err := searchPart(meta.Parts[pi]); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := w.acquire(); err != nil {
+		return err
 	}
 
+	// aliveWorkers is this worker's view of the surviving worker set —
+	// the tree-merge membership. Without fault tolerance nobody can die;
+	// with it, the rendezvous's final go carries the master's survivor list.
+	workers := r.Size() - 1
+	aliveWorkers := make([]int, 0, workers)
+	for id := 1; id <= workers; id++ {
+		aliveWorkers = append(aliveWorkers, id)
+	}
+	var outFile *mpiio.File
+	firstID := 0
+	for {
+		if meta.FT {
+			if aliveWorkers, err = w.rendezvous(); err != nil {
+				return err
+			}
+		}
+		if outFile == nil {
+			// Opened only once the first rendezvous is through, so a worker
+			// that dies before it never counts an open.
+			outFile = mpiio.OpenOrCreate(r, node.Shared, meta.OutputPath)
+			if err := outFile.SetHints(meta.IOHints); err != nil {
+				return err
+			}
+		}
+		if !meta.Serve {
+			// A one-shot worker has searched for the last time: free the
+			// search scratch (the last query's word index) before merging.
+			w.ctx = nil
+		}
+		if err := w.output(outFile, firstID, aliveWorkers); err != nil {
+			return err
+		}
+		if !meta.Serve {
+			break
+		}
+		r.SetPhase(simtime.PhaseIdle)
+		var msg serveBatchMsg
+		if err := engine.DecodeGob(r.Bcast(0, nil), &msg); err != nil {
+			return err
+		}
+		if msg.Seq < 0 {
+			break // end of stream
+		}
+		r.SetTraceBatch(msg.Seq)
+		queries, err := unpackQueries(msg.Queries)
+		if err != nil {
+			return err
+		}
+		w.setQueries(queries)
+		firstID = msg.Seq
+		// Search the resident partitions — no reads: the warm-cluster
+		// payoff.
+		for _, frag := range w.resident {
+			if err := w.search(frag); err != nil {
+				return err
+			}
+		}
+	}
+	r.SetPhase(simtime.PhaseOther)
+	r.Barrier()
+	return nil
+}
+
+func unpackQueries(data []byte) ([]*seq.Sequence, error) {
+	wq, err := engine.DecodeWireQueries(data)
+	if err != nil {
+		return nil, err
+	}
+	return wq.Unpack(), nil
+}
+
+// setQueries makes queries the current set, with empty results.
+func (w *worker) setQueries(queries []*seq.Sequence) {
+	w.queries = queries
+	w.hits = make([][]*blast.SubjectResult, len(queries))
+	w.work = make([]blast.WorkCounters, len(queries))
+}
+
+// retain keeps a fragment resident and indexes its subjects for block
+// rendering.
+func (w *worker) retain(frag *blast.Fragment) {
+	w.resident = append(w.resident, frag)
+	base := len(w.frag.Subjects)
+	w.frag.Subjects = append(w.frag.Subjects, frag.Subjects...)
+	for i := base; i < len(w.frag.Subjects); i++ {
+		w.byOID[w.frag.Subjects[i].OID] = i
+	}
+}
+
+// search runs the current query set against one fragment. The loop nest
+// is fragment-major whichever mode acquired the fragment, so per-(query,
+// fragment) work counters — and the report footers — agree across modes.
+func (w *worker) search(frag *blast.Fragment) error {
+	if len(w.queries) == 0 {
+		return nil // serving warm-up: acquire only
+	}
+	r := w.r
+	r.SetPhase(simtime.PhaseSearch)
+	for qi, q := range w.queries {
+		if err := w.ctx.SetQuery(q); err != nil {
+			return err
+		}
+		space := engine.SearchSpaceFor(w.searcher, q.Len(), w.meta.TotalLen, w.meta.NumSeqs)
+		res, err := w.ctx.SearchFragment(frag, space)
+		if err != nil {
+			return err
+		}
+		r.Compute(res.Work.Units())
+		engine.RecordWork(r.Metrics(), r.ID(), res.Work)
+		w.hits[qi] = append(w.hits[qi], res.Hits...)
+		w.work[qi].Add(res.Work)
+		r.Yield()
+	}
+	return nil
+}
+
+// acquired retains a freshly read fragment and searches it.
+func (w *worker) acquired(frag *blast.Fragment) error {
+	w.retain(frag)
+	return w.search(frag)
+}
+
+// read reads one partition with independent reads.
+func (w *worker) read(pi int) (*blast.Fragment, error) {
+	w.r.Yield() // keep virtual-time order across ranks' storage accesses
+	w.r.SetPhase(simtime.PhaseInput)
+	return readPart(w.files, w.meta.Parts[pi])
+}
+
+// acquire reads this worker's virtual partitions — statically owned
+// (independent, prefetched or collective reads) or greedily assigned —
+// retaining each and searching it against the current query set.
+func (w *worker) acquire() error {
+	r, meta := w.r, w.meta
 	workers := r.Size() - 1
 	var mine []int
 	for pi := range meta.Parts {
@@ -1092,7 +1217,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 			reqPart()
 			r.Yield()
 			r.SetPhase(simtime.PhaseInput)
-			return startPartFetch(files, meta.Parts[pi])
+			return startPartFetch(w.files, meta.Parts[pi])
 		}
 		reqPart()
 		cur, err := recvAssign()
@@ -1121,7 +1246,7 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 			if err != nil {
 				return err
 			}
-			if err := searchFrag(frag); err != nil {
+			if err := w.acquired(frag); err != nil {
 				return err
 			}
 			cur, curFetch = nxt, nxtFetch
@@ -1140,127 +1265,174 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options, tuner *mpiio.Tun
 			if part < 0 {
 				break
 			}
-			if err := searchPart(meta.Parts[part]); err != nil {
+			frag, err := w.read(part)
+			if err != nil {
+				return err
+			}
+			if err := w.acquired(frag); err != nil {
 				return err
 			}
 		}
 	case meta.Collective:
 		r.Yield()
 		r.SetPhase(simtime.PhaseInput)
-		frags, err := readPartsCollective(r, files, meta, mine)
+		frags, err := readPartsCollective(r, w.files, meta, mine)
 		if err != nil {
 			return err
 		}
 		for _, pi := range mine {
-			if err := searchFrag(frags[pi]); err != nil {
+			if err := w.acquired(frags[pi]); err != nil {
 				return err
 			}
 		}
 	default:
-		if err := searchStatic(mine); err != nil {
-			return err
-		}
+		return w.readStatic(mine)
 	}
+	return nil
+}
 
-	// Ready/go rendezvous (fault tolerance): report the search phase done,
-	// then either proceed to output or absorb partitions reclaimed from
-	// crashed peers and search them too.
-	// aliveWorkers is this worker's view of the surviving worker set —
-	// the tree-merge membership. Without fault tolerance nobody can die;
-	// with it, the final go message carries the master's survivor list.
-	aliveWorkers := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		aliveWorkers = append(aliveWorkers, w)
-	}
-	if meta.FT {
-		for {
-			r.SetPhase(simtime.PhaseIdle)
-			r.Send(0, tagReady, nil)
-			data, _, _ := r.Recv(0, tagGo)
-			done, extras, alive, err := decodeGo(data)
+// readStatic acquires a known list of partitions with independent reads,
+// keeping the asynchronous reads of up to meta.Prefetch upcoming
+// partitions in flight while the current one is searched.
+func (w *worker) readStatic(parts []int) error {
+	if w.meta.Prefetch == 0 {
+		for _, pi := range parts {
+			frag, err := w.read(pi)
 			if err != nil {
 				return err
 			}
-			// Re-issued partitions are re-read with the static path
-			// (independent reads, prefetched when enabled): the crashed
-			// peers a collective would need are gone.
-			if err := searchStatic(extras); err != nil {
+			if err := w.acquired(frag); err != nil {
 				return err
 			}
-			if done {
-				aliveWorkers = alive
-				break
+		}
+		return nil
+	}
+	fetches := make([]*partFetch, len(parts))
+	next := 0
+	for cur := range parts {
+		w.r.Yield()
+		w.r.SetPhase(simtime.PhaseInput)
+		for next <= cur+w.meta.Prefetch && next < len(parts) {
+			pf, err := startPartFetch(w.files, w.meta.Parts[parts[next]])
+			if err != nil {
+				return err
 			}
+			fetches[next] = pf
+			next++
+		}
+		frag, err := fetches[cur].finish()
+		fetches[cur] = nil
+		if err != nil {
+			return err
+		}
+		if err := w.acquired(frag); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// Phase 2: per-batch merge and parallel output.
-	outFile := mpiio.OpenOrCreate(r, node.Shared, meta.OutputPath)
-	if err := outFile.SetHints(meta.IOHints); err != nil {
-		return err
+// rendezvous is the worker side of the ready/go exchange: report the
+// current query set searched, then absorb any partitions reclaimed from
+// crashed peers and search them too, until the final go, which carries the
+// survivor list. Re-issued partitions are re-read independently — the
+// crashed peers a collective would need are gone. A one-shot worker reads
+// and searches them one at a time, prefetched when enabled; a serving
+// worker reads them all, then searches them for the current batch.
+func (w *worker) rendezvous() ([]int, error) {
+	r := w.r
+	for {
+		r.SetPhase(simtime.PhaseIdle)
+		r.Send(0, tagReady, nil)
+		data, _, _ := r.Recv(0, tagGo)
+		done, extras, alive, err := decodeGo(data)
+		if err != nil {
+			return nil, err
+		}
+		if w.meta.Serve {
+			from := len(w.resident)
+			for _, pi := range extras {
+				frag, err := w.read(pi)
+				if err != nil {
+					return nil, err
+				}
+				w.retain(frag)
+			}
+			for _, frag := range w.resident[from:] {
+				if err := w.search(frag); err != nil {
+					return nil, err
+				}
+			}
+		} else if err := w.readStatic(extras); err != nil {
+			return nil, err
+		}
+		if done {
+			return alive, nil
+		}
 	}
-	bounds := fixedBounds(len(queries), meta.QueryBatch)
-	if meta.MemBudget > 0 {
+}
+
+// output merges and writes the current query set batch by batch; batch i
+// carries trace-batch id firstID+i, as on the master.
+func (w *worker) output(outFile *mpiio.File, firstID int, aliveWorkers []int) error {
+	r := w.r
+	bounds := outputBounds(w.meta, len(w.queries))
+	if w.meta.MemBudget > 0 {
 		// Adaptive batching (§5): agree on batch boundaries sized to the
 		// memory budget, using cheap per-query volume estimates (the
 		// alignment panels dominate a block, ≈4 bytes per subject residue
 		// in the aligned span).
 		r.SetPhase(simtime.PhaseOutput)
-		local := make([]int64, len(queries))
-		for q := range queries {
+		local := make([]int64, len(w.queries))
+		for q := range w.queries {
 			var est int64
-			for _, hit := range st.hits[q] {
+			for _, hit := range w.hits[q] {
 				for _, h := range hit.HSPs {
 					est += int64(4*(h.SubjTo-h.SubjFrom)) + 256
 				}
 			}
 			local[q] = est
 		}
-		volumes := exchangeVolumes(r, local)
-		bounds = adaptiveBounds(volumes, meta.MemBudget)
+		bounds = adaptiveBounds(exchangeVolumes(r, local), w.meta.MemBudget)
 	}
-	workerBatch := -1
-	err = runBatches(bounds, func(q0, q1 int) error {
-		workerBatch++
-		r.SetTraceBatch(workerBatch)
-		return workerOutputBatch(r, meta, opts, maxTargets, outFile, queries, q0, q1, st, aliveWorkers)
-	})
-	if err != nil {
-		return err
+	for i := 0; i+1 < len(bounds); i++ {
+		r.SetTraceBatch(firstID + i)
+		if err := w.outputBatch(outFile, bounds[i], bounds[i+1], aliveWorkers); err != nil {
+			return err
+		}
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
 	return nil
 }
 
-// workerOutputBatch runs the worker side of one batch's merge/output over
+// outputBatch runs the worker side of one batch's merge/output over
 // queries[q0:q1]: local hit consolidation, optional early-prune exchange,
 // result-caching block rendering (§3.2), metadata submission (flat or
-// tree), and the selection-ordered collective write (§3.3). Shared
-// verbatim by the one-shot run and the serving loop.
-func workerOutputBatch(r *mpi.Rank, meta jobMeta, opts blast.Options, maxTargets int, outFile *mpiio.File, queries []*seq.Sequence, q0, q1 int, st *workerState, aliveWorkers []int) error {
+// tree), and the selection-ordered collective write (§3.3).
+func (w *worker) outputBatch(outFile *mpiio.File, q0, q1 int, aliveWorkers []int) error {
+	r, meta := w.r, w.meta
+	maxTargets := w.searcher.Options().MaxTargetSeqs
 	r.SetPhase(simtime.PhaseOutput)
 	// Consolidate each query's hits across this worker's parts.
 	for q := q0; q < q1; q++ {
-		blast.SortHits(st.hits[q])
-		if len(st.hits[q]) > maxTargets {
-			st.hits[q] = st.hits[q][:maxTargets]
+		blast.SortHits(w.hits[q])
+		if len(w.hits[q]) > maxTargets {
+			w.hits[q] = w.hits[q][:maxTargets]
 		}
 	}
 	if meta.EarlyPrune {
 		for q := q0; q < q1; q++ {
-			scores := make([]int64, 0, len(st.hits[q]))
-			for _, h := range st.hits[q] {
+			scores := make([]int64, 0, len(w.hits[q]))
+			for _, h := range w.hits[q] {
 				scores = append(scores, int64(h.BestScore()))
 			}
 			threshold := exchangeThreshold(r, scores, maxTargets)
-			kept := st.hits[q][:0]
-			for _, h := range st.hits[q] {
+			kept := w.hits[q][:0]
+			for _, h := range w.hits[q] {
 				if int64(h.BestScore()) >= threshold {
 					kept = append(kept, h)
 				}
 			}
-			st.hits[q] = kept
+			w.hits[q] = kept
 		}
 	}
 	// Result caching (§3.2): render candidate blocks into memory and
@@ -1268,10 +1440,10 @@ func workerOutputBatch(r *mpi.Rank, meta jobMeta, opts blast.Options, maxTargets
 	blocks := make(map[[2]int][]byte)
 	bm := batchMetas{FirstQuery: q0}
 	for q := q0; q < q1; q++ {
-		qm := engine.QueryMeta{QueryIndex: q, Work: st.work[q]}
-		for _, hit := range st.hits[q] {
-			subj := st.frag.Subjects[st.byOID[hit.OID]].Residues
-			block := []byte(blast.RenderHit(opts.OutFormat, queries[q], subj, hit, opts.Matrix))
+		qm := engine.QueryMeta{QueryIndex: q, Work: w.work[q]}
+		for _, hit := range w.hits[q] {
+			subj := w.frag.Subjects[w.byOID[hit.OID]].Residues
+			block := []byte(blast.RenderHit(w.opts.OutFormat, w.queries[q], subj, hit, w.opts.Matrix))
 			r.FormatCost(int64(len(block)))
 			blocks[[2]int{q, hit.OID}] = block
 			qm.Hits = append(qm.Hits, engine.MetaFromResult(r.ID(), hit, int64(len(block))))

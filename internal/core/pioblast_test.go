@@ -109,7 +109,7 @@ func runAllThree(t *testing.T, fx *fixture, nprocs, fragments int, shared vfs.Pr
 	}
 	mpiJob := *fx.job
 	mpiJob.Fragments = fragments
-	mpiRes, err = mpiblast.Run(mpiNodes, nprocs, testCost(), &mpiJob)
+	mpiRes, err = mpiblast.Run(mpiNodes, nprocs, mpi.Config{Cost: testCost()}, &mpiJob, mpiblast.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func runAllThree(t *testing.T, fx *fixture, nprocs, fragments int, shared vfs.Pr
 	pioNodes := fx.newCluster(t, nprocs, shared, local, 0)
 	pioJob := *fx.job
 	pioJob.Fragments = fragments
-	pioRes, err = core.Run(pioNodes, nprocs, testCost(), &pioJob, opts)
+	pioRes, err = core.Run(pioNodes, nprocs, mpi.Config{Cost: testCost()}, &pioJob, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (engine.RunResult, []byte) {
 		nodes := fx.newCluster(t, 4, vfs.XFSLike(), localDisk(), 0)
 		job := *fx.job
-		res, err := core.Run(nodes, 4, testCost(), &job, core.Options{})
+		res, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestMultiVolumeDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := *fx.job
-	if _, err := core.Run(nodes, 4, testCost(), &job, core.Options{}); err != nil {
+	if _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := nodes[0].Shared.ReadFile(job.OutputPath)
@@ -311,19 +311,19 @@ func TestMultiVolumeDatabase(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	fx := makeFixture(t, 300)
 	nodes := fx.newCluster(t, 2, vfs.XFSLike(), nil, 0)
-	if _, err := core.Run(nodes, 1, testCost(), fx.job, core.Options{}); err == nil {
+	if _, err := core.Run(nodes, 1, mpi.Config{Cost: testCost()}, fx.job, core.Options{}); err == nil {
 		t.Fatal("1-rank pioBLAST accepted")
 	}
 	bad := *fx.job
 	bad.DBBase = "missing"
-	if _, err := core.Run(nodes, 2, testCost(), &bad, core.Options{}); err == nil {
+	if _, err := core.Run(nodes, 2, mpi.Config{Cost: testCost()}, &bad, core.Options{}); err == nil {
 		t.Fatal("missing database accepted by pioBLAST")
 	}
-	if _, err := mpiblast.Run(nodes, 2, testCost(), &bad); err == nil {
+	if _, err := mpiblast.Run(nodes, 2, mpi.Config{Cost: testCost()}, &bad, mpiblast.Options{}); err == nil {
 		t.Fatal("missing database accepted by baseline")
 	}
 	// Baseline without prepared fragments must fail with a clear error.
-	if _, err := mpiblast.Run(nodes, 2, testCost(), fx.job); err == nil ||
+	if _, err := mpiblast.Run(nodes, 2, mpi.Config{Cost: testCost()}, fx.job, mpiblast.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "fragment") {
 		t.Fatalf("missing fragments not diagnosed: %v", err)
 	}
@@ -396,7 +396,7 @@ func TestHeterogeneousDynamicBeatsStatic(t *testing.T) {
 			DBBase: "nr", Queries: hq, Options: blast.DefaultProteinOptions(),
 			OutputPath: "out", Fragments: fragments,
 		}
-		res, err := core.RunConfig(nodes, 9, mpiCfg(speeds), job, opts)
+		res, err := core.Run(nodes, 9, mpiCfg(speeds), job, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestQueryBatchingReducesOutputTime(t *testing.T) {
 	run := func(batch int) engine.RunResult {
 		nodes := fx.newCluster(t, 6, vfs.XFSLike(), nil, 0)
 		job := *fx.job
-		res, err := core.Run(nodes, 6, testCost(), &job, core.Options{QueryBatch: batch})
+		res, err := core.Run(nodes, 6, mpi.Config{Cost: testCost()}, &job, core.Options{QueryBatch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,7 +566,7 @@ func TestCollectiveReadReducesInputTime(t *testing.T) {
 		nodes := fx.newCluster(t, 5, vfs.NFSLike(), nil, 0)
 		job := *fx.job
 		job.Fragments = 16
-		res, err := core.Run(nodes, 5, testCost(), &job, opts)
+		res, err := core.Run(nodes, 5, mpi.Config{Cost: testCost()}, &job, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +591,7 @@ func TestPrefetchReducesWall(t *testing.T) {
 		nodes := fx.newCluster(t, n, prof, nil, 0)
 		job := *fx.job
 		job.Fragments = 12
-		res, err := core.Run(nodes, n, testCost(), &job, opts)
+		res, err := core.Run(nodes, n, mpi.Config{Cost: testCost()}, &job, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,7 +633,7 @@ func TestSearchPhaseExcludesQueueing(t *testing.T) {
 		job.Fragments = 9
 		cost := testCost()
 		cost.NetLatency = lat
-		res, err := core.Run(nodes, 4, cost, &job, core.Options{DynamicAssignment: true})
+		res, err := core.Run(nodes, 4, mpi.Config{Cost: cost}, &job, core.Options{DynamicAssignment: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -662,7 +662,7 @@ func TestFileOpenCacheBoundsOpens(t *testing.T) {
 	job := *fx.job
 	job.Fragments = 18
 	cfg := mpi.Config{Cost: testCost(), Metrics: reg}
-	if _, err := core.RunConfig(nodes, 4, cfg, &job, core.Options{}); err != nil {
+	if _, err := core.Run(nodes, 4, cfg, &job, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var opens int64
@@ -788,7 +788,7 @@ func TestReadPathSurvivesTransientIOFaults(t *testing.T) {
 		}
 		job := *fx.job
 		job.Fragments = 9
-		if _, err := core.Run(nodes, 4, testCost(), &job, opts); err != nil {
+		if _, err := core.Run(nodes, 4, mpi.Config{Cost: testCost()}, &job, opts); err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
 		out, err := nodes[0].Shared.ReadFile(job.OutputPath)

@@ -121,7 +121,7 @@ func TestServeMatchesOneShotMpiblast(t *testing.T) {
 			t.Fatal(err)
 		}
 		oneJob := *fx.job
-		oneShot, err := mpiblast.RunOpts(oneNodes, nprocs, mpi.Config{Cost: testCost()}, &oneJob, opts)
+		oneShot, err := mpiblast.Run(oneNodes, nprocs, mpi.Config{Cost: testCost()}, &oneJob, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,6 +370,8 @@ func TestServeValidation(t *testing.T) {
 	}
 	try(core.Options{DynamicAssignment: true}, batches, 0, "static assignment")
 	try(core.Options{MemoryBudgetBytes: 1 << 20}, batches, 0, "adaptive batching")
+	try(core.Options{QueryBatch: 4}, batches, 0, "query batching")
+	try(core.Options{QueryBatch: -1}, batches, 0, "negative query batch")
 	try(core.Options{}, batches, -1, "admission cap")
 	try(core.Options{}, batches[1:], 0, "contiguous")
 	truncated := append([]workload.Batch(nil), batches...)

@@ -103,6 +103,7 @@ type runSpec struct {
 	queryBytes  int
 	pio         core.Options
 	fetchWindow int
+	speeds      []float64 // per-rank compute-speed factors (nil = uniform)
 }
 
 // Row is one measured experiment data point.
@@ -158,10 +159,10 @@ func execute(spec runSpec) (Row, error) {
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
 			return row, err
 		}
-		res, err = mpiblast.RunOpts(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost}, job,
+		res, err = mpiblast.Run(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost}, job,
 			mpiblast.Options{FetchWindow: spec.fetchWindow})
 	case "pio":
-		res, err = core.Run(nodes, spec.procs, spec.lab.Cost, job, spec.pio)
+		res, err = core.Run(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds}, job, spec.pio)
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", spec.engineName)
 	}
@@ -440,10 +441,9 @@ func Hetero(lab *Lab) ([]Row, error) {
 	}
 	var rows []Row
 	for _, v := range variants {
-		v.pio.NodeSpeeds = speeds
 		row, err := execute(runSpec{
 			lab: lab, plat: altix(), engineName: "pio",
-			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio,
+			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio, speeds: speeds,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("hetero %s: %w", v.name, err)
@@ -540,11 +540,11 @@ func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vf
 	var res engine.RunResult
 	switch eng {
 	case "mpi":
-		res, err = mpiblast.RunOpts(nodes, procs, cfg, job, mpiblast.Options{})
+		res, err = mpiblast.Run(nodes, procs, cfg, job, mpiblast.Options{})
 	case "pio":
 		// Arm the recovery protocol in the baseline too, so the overhead
 		// isolates recovery work rather than protocol presence.
-		res, err = core.RunConfig(nodes, procs, cfg, job, core.Options{FaultTolerant: true})
+		res, err = core.Run(nodes, procs, cfg, job, core.Options{FaultTolerant: true})
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", eng)
 	}

@@ -119,9 +119,9 @@ func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyR
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", procs-1); err != nil {
 			return row, err
 		}
-		res, err = mpiblast.RunOpts(nodes, procs, cfg, job, mpiblast.Options{TreeMerge: tree})
+		res, err = mpiblast.Run(nodes, procs, cfg, job, mpiblast.Options{TreeMerge: tree})
 	case "pio":
-		res, err = core.RunConfig(nodes, procs, cfg, job, core.Options{TreeMerge: tree, QueryBatch: 2})
+		res, err = core.Run(nodes, procs, cfg, job, core.Options{TreeMerge: tree, QueryBatch: 2})
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", eng)
 	}

@@ -207,9 +207,9 @@ func slaOneShot(lab *Lab, eng string, job *engine.Job) ([]byte, error) {
 	}
 	switch eng {
 	case "mpi":
-		_, err = mpiblast.Run(nodes, slaProcs, lab.Cost, job)
+		_, err = mpiblast.Run(nodes, slaProcs, mpi.Config{Cost: lab.Cost}, job, mpiblast.Options{})
 	case "pio":
-		_, err = core.Run(nodes, slaProcs, lab.Cost, job, core.Options{})
+		_, err = core.Run(nodes, slaProcs, mpi.Config{Cost: lab.Cost}, job, core.Options{})
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", eng)
 	}

@@ -16,6 +16,14 @@
 // Every one of those design points is a cost the pioBLAST engine
 // (internal/core) removes; this package exists so each figure can compare
 // the two.
+//
+// Run (flat or tree merge) and Serve share one setup, one worker prologue
+// and one definition of each stage: the copy stage (worker.stage), the
+// per-fragment search loop (worker.search), the tree fold on each side
+// (foldTree), the master's render/fetch/write stage
+// (outputStage.writeQuery) and the worker's fetch service
+// (worker.serveFetches). The flat, tree and serving masters keep only
+// their own assignment or collection logic.
 package mpiblast
 
 import (
@@ -46,6 +54,9 @@ const (
 // jobMeta is the broadcast that seeds every worker. The shell is cold-path
 // gob; the query payload inside is pre-encoded with the compact codec
 // (engine.EncodeWireQueries), since it dominates the broadcast bytes.
+// Its gob shape and serveBatchMsg's — field names, types and order — are
+// frozen: Bcast charges by payload bytes, so any change to them moves every
+// rank's virtual clock.
 type jobMeta struct {
 	Queries   []byte // engine.EncodeWireQueries payload
 	Title     string
@@ -152,10 +163,6 @@ type Options struct {
 	// quantifies how much of the baseline's output time is pure round-trip
 	// serialization versus master-side processing.
 	FetchWindow int
-	// FaultTimeout is the master's failure-detection polling interval in
-	// virtual seconds (0 = 250 × NetLatency). Only used when the MPI config
-	// schedules faults.
-	FaultTimeout float64
 	// TreeMerge replaces the per-(query, fragment) result streams through
 	// the master with the hierarchical tree merge: workers hold results
 	// locally, pre-merge to the per-query top-k, and fold one bundle per
@@ -168,37 +175,65 @@ type Options struct {
 }
 
 // Run executes the baseline engine on nprocs ranks (rank 0 is the master;
-// workers are 1..nprocs-1). nodes[i] is rank i's storage view. The physical
-// fragments must already exist (PrepareFragments).
-func Run(nodes []*vfs.Node, nprocs int, cost simtime.CostModel, job *engine.Job) (engine.RunResult, error) {
-	return RunConfig(nodes, nprocs, mpi.Config{Cost: cost}, job)
-}
-
-// RunOpts is RunConfig with baseline variant options.
-func RunOpts(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	return runConfig(nodes, nprocs, cfg, job, opts)
-}
-
-// RunConfig is Run with an explicit MPI configuration (heterogeneity,
-// tracing).
-func RunConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job) (engine.RunResult, error) {
-	return runConfig(nodes, nprocs, cfg, job, Options{})
-}
-
-func runConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
-	if err := job.Validate(); err != nil {
+// workers are 1..nprocs-1) under the given MPI configuration. nodes[i] is
+// rank i's storage view. The physical fragments must already exist
+// (PrepareFragments).
+func Run(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options) (engine.RunResult, error) {
+	s, err := newSession(nodes, nprocs, cfg, job, opts, false)
+	if err != nil {
 		return engine.RunResult{}, err
 	}
+	return s.launch(nil)
+}
+
+// session is the setup Run and Serve share: the validated inputs and the
+// job broadcast that seeds every worker.
+type session struct {
+	nodes  []*vfs.Node
+	nprocs int
+	cfg    mpi.Config
+	job    *engine.Job
+	opts   Options
+	meta   jobMeta
+	// ft arms the master's failure detection, polling every ftTimeout
+	// virtual seconds (250 × NetLatency).
+	ft        bool
+	ftTimeout float64
+}
+
+// newSession validates a run — serve adds the serving mode's own limits —
+// checks the physical fragments and builds the job broadcast.
+func newSession(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, serve bool) (*session, error) {
+	if err := job.Validate(); err != nil {
+		return nil, err
+	}
 	if nprocs < 2 {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: need ≥2 ranks (1 master + workers), got %d", nprocs)
+		return nil, fmt.Errorf("mpiblast: need ≥2 ranks (1 master + workers), got %d", nprocs)
 	}
 	if len(nodes) < nprocs {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: %d nodes for %d ranks", len(nodes), nprocs)
+		return nil, fmt.Errorf("mpiblast: %d nodes for %d ranks", len(nodes), nprocs)
+	}
+	if serve && len(cfg.Faults) > 0 {
+		return nil, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
+	}
+	// Failure recovery only covers workers: the master holds the merged
+	// results and the failure detector itself.
+	for _, f := range cfg.Faults {
+		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
+			return nil, fmt.Errorf("mpiblast: cannot inject a crash into rank 0 (the master)")
+		}
+	}
+	fanout := opts.MergeFanout
+	if fanout == 0 {
+		fanout = mpi.DefaultTreeFanout
+	}
+	if opts.TreeMerge && fanout < 2 {
+		return nil, fmt.Errorf("mpiblast: merge fan-out %d < 2", opts.MergeFanout)
 	}
 	shared := nodes[0].Shared
 	db, err := formatdb.Open(shared, job.DBBase)
 	if err != nil {
-		return engine.RunResult{}, err
+		return nil, err
 	}
 	nFrags := job.Fragments
 	if nFrags == 0 {
@@ -208,19 +243,10 @@ func runConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 	for i := range fragBases {
 		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
 		if _, err := shared.Open(formatdb.IndexPath(fragBases[i])); err != nil {
-			return engine.RunResult{}, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
+			return nil, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
 		}
 	}
-
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, fmt.Errorf("mpiblast: merge fan-out %d < 2", opts.MergeFanout)
-	}
 	meta := jobMeta{
-		Queries:    engine.EncodeWireQueries(engine.PackQueries(job.Queries)),
 		Title:      db.Title,
 		Kind:       db.Kind,
 		NumSeqs:    db.NumSeqs,
@@ -228,63 +254,81 @@ func runConfig(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, o
 		FragBases:  fragBases,
 		Tree:       opts.TreeMerge,
 		TreeFanout: fanout,
+		Serve:      serve,
 	}
-	// Failure recovery only covers workers: the master holds the merged
-	// results and the failure detector itself.
-	for _, f := range cfg.Faults {
-		if f.Rank == 0 && f.Kind == mpi.FaultCrash {
-			return engine.RunResult{}, fmt.Errorf("mpiblast: cannot inject a crash into rank 0 (the master)")
-		}
+	if !serve {
+		meta.Queries = engine.EncodeWireQueries(engine.PackQueries(job.Queries))
 	}
-	ft := len(cfg.Faults) > 0
-	ftTimeout := opts.FaultTimeout
-	if ftTimeout <= 0 {
-		ftTimeout = 250 * cfg.Cost.NetLatency
-	}
-
 	if cfg.Comm == nil {
 		cfg.Comm = mpi.NewCommStats(nprocs)
 	}
-	// Per-query latency sink, filled by the master goroutine and read only
-	// after mpi.RunConfig returns (the run's WaitGroup is the barrier).
-	qlat := make([]float64, len(job.Queries))
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			if meta.Tree {
-				return runMasterTree(r, nodes[0], job, meta, opts, ft, ftTimeout, qlat)
-			}
-			return runMaster(r, nodes[0], job, meta, opts, ft, ftTimeout, qlat)
+	return &session{
+		nodes: nodes, nprocs: nprocs, cfg: cfg, job: job, opts: opts, meta: meta,
+		ft: len(cfg.Faults) > 0, ftTimeout: 250 * cfg.Cost.NetLatency,
+	}, nil
+}
+
+// launch runs the protocol's master on rank 0 and the worker everywhere
+// else, and summarizes the run; st is the arrival stream of a serving run,
+// nil for a one-shot run.
+func (s *session) launch(st *stream) (engine.RunResult, error) {
+	// Per-query latency sink, appended by the master goroutine only and
+	// read after mpi.RunConfig returns (the run's WaitGroup is the barrier).
+	var qlat []float64
+	clocks, err := mpi.RunConfig(s.nprocs, s.cfg, func(r *mpi.Rank) error {
+		if r.ID() != 0 {
+			return runWorker(r, s.nodes[r.ID()], s.job.Options)
 		}
-		if meta.Tree {
-			return runWorkerTree(r, nodes[r.ID()], job.Options)
+		if st != nil {
+			return s.runServeMaster(r, st, &qlat)
 		}
-		return runWorker(r, nodes[r.ID()], job.Options)
+		if s.meta.Tree {
+			return s.runMasterTree(r, &qlat)
+		}
+		return s.runMaster(r, &qlat)
 	})
 	if err != nil {
 		return engine.RunResult{}, err
 	}
 	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
+	if f, err := s.nodes[0].Shared.Open(s.job.OutputPath); err == nil {
 		outBytes = f.Size()
 	}
 	res := engine.Summarize(clocks, outBytes)
 	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
+	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = s.cfg.Comm.Totals()
+	res.AddIOFaults(s.nodes)
 	return res, nil
 }
 
-func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts Options, ft bool, ftTimeout float64, qlat []float64) error {
+// startMaster charges the master's setup and broadcasts the job; the
+// returned clock is a one-shot job's admission time — every query is "in
+// the system" once the broadcast completes.
+func (s *session) startMaster(r *mpi.Rank) float64 {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
-	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
-	admit := r.Clock().Now()
+	r.Bcast(0, engine.EncodeGob(s.meta))
+	return r.Clock().Now()
+}
 
+// ingestResults charges the master for splicing one worker's result
+// submission into its tables — real work on its critical path — and
+// returns the submission's hits tagged with their owner.
+func ingestResults(r *mpi.Rank, msg resultsMsg) []treeHit {
+	r.SetPhase(simtime.PhaseOutput)
+	r.Advance(r.Cost().ResultMsgCost + float64(len(msg.Hits))*r.Cost().MergeItemCost)
+	hits := make([]treeHit, 0, len(msg.Hits))
+	for _, wh := range msg.Hits {
+		hits = append(hits, treeHit{Worker: msg.Worker, Hit: wh})
+	}
+	return hits
+}
+
+func (s *session) runMaster(r *mpi.Rank, qlat *[]float64) error {
+	admit := s.startMaster(r)
 	workers := r.Size() - 1
-	nFrags := len(meta.FragBases)
-	nQueries := len(job.Queries)
+	nFrags := len(s.meta.FragBases)
+	nQueries := len(s.job.Queries)
 
 	// While the workers copy and search, the master serves assignments and
 	// collects result metadata — mostly waiting. Results are kept PER
@@ -294,16 +338,12 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 	// re-COPY the physical fragment files before searching (contrast with
 	// pioBLAST, which only re-issues offset ranges).
 	r.SetPhase(simtime.PhaseIdle)
-	type masterHit struct {
-		res    *blast.SubjectResult
-		worker int
-	}
-	fragHits := make([][][]masterHit, nFrags)
+	fragHits := make([][][]treeHit, nFrags)
 	fragWork := make([][]blast.WorkCounters, nFrags)
 	got := make([][]bool, nFrags)
 	fragQueue := make([]int, 0, nFrags)
 	for f := 0; f < nFrags; f++ {
-		fragHits[f] = make([][]masterHit, nQueries)
+		fragHits[f] = make([][]treeHit, nQueries)
 		fragWork[f] = make([]blast.WorkCounters, nQueries)
 		got[f] = make([]bool, nQueries)
 		fragQueue = append(fragQueue, f)
@@ -384,9 +424,9 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 	for remaining > 0 || len(releasedSet) < len(alive) {
 		var data []byte
 		var from, tag int
-		if ft {
+		if s.ft {
 			var err error
-			data, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, ftTimeout)
+			data, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.ftTimeout)
 			if err != nil {
 				// Timed out: check ground truth for crashed workers.
 				purgeDead()
@@ -412,7 +452,7 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 			if assign(from) {
 				break
 			}
-			if ft && remaining > 0 {
+			if s.ft && remaining > 0 {
 				// Queue empty but results outstanding: park the requester —
 				// a crashed peer's fragment may yet need a new home.
 				parked = append(parked, from)
@@ -427,17 +467,8 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 			if got[msg.Fragment][msg.Query] {
 				break // duplicate after a requeue race; first submission wins
 			}
-			// Splicing a fragment's alignments into the master's result
-			// structures is real work on the master's critical path.
-			r.SetPhase(simtime.PhaseOutput)
-			r.Advance(r.Cost().ResultMsgCost + float64(len(msg.Hits))*r.Cost().MergeItemCost)
-			hits := make([]masterHit, 0, len(msg.Hits))
-			for _, wh := range msg.Hits {
-				res, _ := wh.Unpack()
-				hits = append(hits, masterHit{res: res, worker: msg.Worker})
-			}
 			got[msg.Fragment][msg.Query] = true
-			fragHits[msg.Fragment][msg.Query] = hits
+			fragHits[msg.Fragment][msg.Query] = ingestResults(r, msg)
 			fragWork[msg.Fragment][msg.Query] = msg.Work
 			r.SetPhase(simtime.PhaseIdle)
 			remaining--
@@ -455,96 +486,35 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 
 	// Serialized result merging and output (§2.2 / Figure 2 right side).
 	r.SetPhase(simtime.PhaseOutput)
-	searcher, err := blast.NewSearcher(job.Options)
+	o, err := s.newOutputStage(r)
 	if err != nil {
 		return err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-	// fetchRecv collects one fetched hit; under fault injection a crash at
-	// this point is unrecoverable (the hit data lives only in the dead
-	// worker's memory), so it surfaces as a clean error.
-	fetchRecv := func(w int) ([]byte, error) {
-		if !ft {
-			residues, _, _ := r.Recv(w, tagHitData)
-			return residues, nil
-		}
-		for {
-			residues, _, _, err := r.RecvTimeout(w, tagHitData, ftTimeout)
-			if err == nil {
-				return residues, nil
-			}
-			if errors.Is(err, mpi.ErrRankFailed) {
-				return nil, fmt.Errorf("mpiblast: worker %d crashed during the output phase; recovery only covers the search phase: %w", w, err)
-			}
-		}
-	}
-	var off int64
-	for qi, q := range job.Queries {
+	for qi, q := range s.job.Queries {
 		// The serialized merge handles one query at a time: stamp it as the
 		// trace context so the fetch round-trips it triggers carry it.
 		r.SetTraceBatch(qi)
 		// Concatenate this query's hits in fragment order — deterministic
 		// regardless of result arrival order or crash recovery (MergeHits
 		// imposes a total order anyway).
-		var qhits []masterHit
+		var qhits []treeHit
 		var qwork blast.WorkCounters
 		for f := 0; f < nFrags; f++ {
 			qhits = append(qhits, fragHits[f][qi]...)
 			qwork.Add(fragWork[f][qi])
 		}
 		r.Advance(float64(len(qhits)) * r.Cost().MergeItemCost)
-		byOID := make(map[int]masterHit, len(qhits))
-		metas := make([]engine.HitMeta, 0, len(qhits))
-		for _, mh := range qhits {
-			byOID[mh.res.OID] = mh
-			metas = append(metas, engine.MetaFromResult(mh.worker, mh.res, 0))
+		kept, err := o.writeQuery(qi, q, qhits, qwork, admit, qlat)
+		if err != nil {
+			return err
 		}
-		merged := engine.MergeHits(metas, maxTargets)
-		engine.RecordMerge(r.Metrics(), r.ID(), len(metas), len(merged))
-
-		outFormat := job.Options.OutFormat
-		var text bytes.Buffer
-		text.WriteString(blast.RenderHeader(outFormat, meta.Kind, q, dbInfo))
-		text.WriteString(blast.RenderSummary(outFormat, engine.SummaryResults(merged)))
-		// Fetch every selected hit's sequence information from its worker —
-		// one serial request/reply per hit in faithful mode (the bottleneck
-		// the paper measured at >40% of mpiBLAST's output time), or with a
-		// sliding window of outstanding requests in the pipelined ablation.
-		window := opts.FetchWindow
-		if window < 1 {
-			window = 1
-		}
-		sent := 0
-		for done := 0; done < len(merged); done++ {
-			for sent < len(merged) && sent-done < window {
-				h := merged[sent]
-				r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
-				sent++
-			}
-			h := merged[done]
-			residues, err := fetchRecv(h.Worker)
-			if err != nil {
-				return err
-			}
-			mh := byOID[h.OID]
-			block := blast.RenderHit(outFormat, q, residues, mh.res, job.Options.Matrix)
-			r.FormatCost(int64(len(block)))
-			r.Advance(r.Cost().FetchItemCost)
-			text.WriteString(block)
-		}
-		space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-		text.WriteString(blast.RenderFooter(outFormat, searcher.GappedParams(), space, qwork))
-		r.FormatCost(int64(text.Len()) / 8) // header/summary/footer rendering
-		out.WriteAt(text.Bytes(), off)
-		off += int64(text.Len())
-		// The query's merged report is on disk: its end-to-end latency is
-		// settled on the master's clock.
-		lat := r.Clock().Now() - admit
-		qlat[qi] = lat
-		engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+		engine.RecordMerge(r.Metrics(), r.ID(), len(qhits), kept)
 	}
+	return s.finishMaster(r, alive)
+}
+
+// finishMaster releases the workers' fetch service and closes the run.
+func (s *session) finishMaster(r *mpi.Rank, alive []int) error {
 	for _, w := range alive {
 		r.Send(w, tagRelease, nil)
 	}
@@ -553,6 +523,118 @@ func runMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts 
 	return nil
 }
 
+// outputStage is the master's serialized render/fetch/write stage, shared
+// by every protocol: the output file and its running offset persist across
+// queries (and stream batches).
+type outputStage struct {
+	r          *mpi.Rank
+	s          *session
+	searcher   *blast.Searcher
+	maxTargets int
+	dbInfo     blast.DBInfo
+	out        *mpiio.File
+	off        int64
+}
+
+func (s *session) newOutputStage(r *mpi.Rank) (*outputStage, error) {
+	searcher, err := blast.NewSearcher(s.job.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &outputStage{
+		r: r, s: s, searcher: searcher, maxTargets: searcher.Options().MaxTargetSeqs,
+		dbInfo: blast.DBInfo{Title: s.meta.Title, NumSeqs: s.meta.NumSeqs, TotalLen: s.meta.TotalLen},
+		out:    mpiio.OpenOrCreate(r, s.nodes[0].Shared, s.job.OutputPath),
+	}, nil
+}
+
+// writeQuery merges query qi's candidate hits, fetches every selected
+// hit's residues from its owning worker — one serial request/reply per hit
+// in faithful mode (the bottleneck the paper measured at >40% of
+// mpiBLAST's output time), or with a sliding window of outstanding
+// requests in the pipelined ablation — renders the report, appends it to
+// the output file, and settles the query's latency from arrival. It
+// returns how many candidates the merge kept.
+func (o *outputStage) writeQuery(qi int, q *seq.Sequence, hits []treeHit, work blast.WorkCounters, arrival float64, qlat *[]float64) (int, error) {
+	r, s := o.r, o.s
+	byOID := make(map[int]*blast.SubjectResult, len(hits))
+	metas := make([]engine.HitMeta, 0, len(hits))
+	for _, th := range hits {
+		res, _ := th.Hit.Unpack()
+		byOID[res.OID] = res
+		metas = append(metas, engine.MetaFromResult(th.Worker, res, 0))
+	}
+	merged := engine.MergeHits(metas, o.maxTargets)
+
+	outFormat := s.job.Options.OutFormat
+	var text bytes.Buffer
+	text.WriteString(blast.RenderHeader(outFormat, s.meta.Kind, q, o.dbInfo))
+	text.WriteString(blast.RenderSummary(outFormat, engine.SummaryResults(merged)))
+	window := max(s.opts.FetchWindow, 1)
+	sent := 0
+	for done := 0; done < len(merged); done++ {
+		for sent < len(merged) && sent-done < window {
+			h := merged[sent]
+			r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
+			sent++
+		}
+		h := merged[done]
+		residues, err := o.fetchRecv(h.Worker)
+		if err != nil {
+			return 0, err
+		}
+		block := blast.RenderHit(outFormat, q, residues, byOID[h.OID], s.job.Options.Matrix)
+		r.FormatCost(int64(len(block)))
+		r.Advance(r.Cost().FetchItemCost)
+		text.WriteString(block)
+	}
+	space := engine.SearchSpaceFor(o.searcher, q.Len(), s.meta.TotalLen, s.meta.NumSeqs)
+	text.WriteString(blast.RenderFooter(outFormat, o.searcher.GappedParams(), space, work))
+	r.FormatCost(int64(text.Len()) / 8) // header/summary/footer rendering
+	o.out.WriteAt(text.Bytes(), o.off)
+	o.off += int64(text.Len())
+	// The query's merged report is on disk: its end-to-end latency is
+	// settled on the master's clock.
+	lat := r.Clock().Now() - arrival
+	*qlat = append(*qlat, lat)
+	engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+	return len(merged), nil
+}
+
+// fetchRecv collects one fetched hit; under fault injection a crash at
+// this point is unrecoverable (the hit data lives only in the dead
+// worker's memory), so it surfaces as a clean error.
+func (o *outputStage) fetchRecv(w int) ([]byte, error) {
+	if !o.s.ft {
+		residues, _, _ := o.r.Recv(w, tagHitData)
+		return residues, nil
+	}
+	for {
+		residues, _, _, err := o.r.RecvTimeout(w, tagHitData, o.s.ftTimeout)
+		if err == nil {
+			return residues, nil
+		}
+		if errors.Is(err, mpi.ErrRankFailed) {
+			return nil, fmt.Errorf("mpiblast: worker %d crashed during the output phase; recovery only covers the search phase: %w", w, err)
+		}
+	}
+}
+
+// worker is one worker rank's state: its search context, its local staging
+// target, and the residues of every hit the master may fetch.
+type worker struct {
+	r        *mpi.Rank
+	node     *vfs.Node
+	meta     jobMeta
+	searcher *blast.Searcher
+	ctx      *blast.Context
+	staging  *vfs.FS
+	prefix   string
+	hits     map[fetchKey][]byte
+}
+
+// runWorker is every protocol's worker: setup and the job broadcast, then
+// the one-shot (flat or tree) or serving body, then the closing barrier.
 func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 	r.SetPhase(simtime.PhaseOther)
 	r.Advance(r.Cost().SetupCost)
@@ -560,28 +642,43 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
 		return err
 	}
-	wq, err := engine.DecodeWireQueries(meta.Queries)
-	if err != nil {
-		return err
-	}
-	queries := wq.Unpack()
 	searcher, err := blast.NewSearcher(opts)
 	if err != nil {
 		return err
 	}
-	ctx := searcher.NewContext()
-
+	w := &worker{r: r, node: node, meta: meta, searcher: searcher, ctx: searcher.NewContext(), staging: node.Local}
 	// Local staging target: node-local disk, or shared scratch when the
 	// platform has none (the paper's Altix configuration).
-	staging := node.Local
-	prefix := ""
-	if staging == nil {
-		staging = node.Shared
-		prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
+	if w.staging == nil {
+		w.staging = node.Shared
+		w.prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
 	}
+	if meta.Serve {
+		err = w.serve()
+	} else {
+		err = w.oneShot()
+	}
+	if err != nil {
+		return err
+	}
+	r.SetPhase(simtime.PhaseOther)
+	r.Barrier()
+	return nil
+}
 
-	// hits maps (query, OID) to the subject residues the master may fetch.
-	hits := make(map[fetchKey][]byte)
+// oneShot is the worker side of a one-shot run: search greedily assigned
+// fragments, streaming each (query, fragment) result to the master or
+// folding them all into the reduction tree, then serve fetches.
+func (w *worker) oneShot() error {
+	r := w.r
+	wq, err := engine.DecodeWireQueries(w.meta.Queries)
+	if err != nil {
+		return err
+	}
+	queries := wq.Unpack()
+	w.hits = make(map[fetchKey][]byte)
+	bundle := newTreeResults(len(queries))
+	var aliveWorkers []int
 	searchedAny := false
 	for {
 		// Waiting for an assignment is startup time before the first
@@ -594,7 +691,13 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 		}
 		r.Send(0, tagWorkReq, nil)
 		data, _, _ := r.Recv(0, tagAssign)
-		fragID, err := engine.DecodeInt(data)
+		var fragID int
+		if w.meta.Tree {
+			// The tree release carries the final survivor membership.
+			fragID, aliveWorkers, err = decodeTreeAssign(data)
+		} else {
+			fragID, err = engine.DecodeInt(data)
+		}
 		if err != nil {
 			return err
 		}
@@ -602,64 +705,102 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 			break
 		}
 		searchedAny = true
-		base := meta.FragBases[fragID]
-
-		// Copy stage: shared FS → local staging, file by file.
-		r.SetPhase(simtime.PhaseCopy)
-		for _, path := range formatdb.FragmentFiles(base) {
-			src, err := mpiio.Open(r, node.Shared, path)
-			if err != nil {
-				return err
-			}
-			content := src.ReadAt(0, src.Size())
-			dst := mpiio.OpenOrCreate(r, staging, prefix+path)
-			dst.WriteAt(content, 0)
-		}
-
-		// Search stage. The fragment is imported from the staged copy;
-		// NCBI BLAST memory-maps the fragment files, so this I/O is
-		// embedded in search time (the paper observes exactly that).
-		r.SetPhase(simtime.PhaseSearch)
-		frag, err := loadFragment(r, staging, prefix+base)
+		frag, err := w.stage(fragID)
 		if err != nil {
 			return err
 		}
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
+		if err := w.search(frag, fragID, queries, &bundle); err != nil {
+			return err
+		}
+	}
+	if w.meta.Tree {
+		members := treeMembers(aliveWorkers)
+		if err := w.foldTree(bundle, members); err != nil {
+			return err
+		}
+		marker := r.TreeBcast(0, w.meta.TreeFanout, members, nil)
+		if len(marker) != 1 || marker[0] == 0 {
+			return fmt.Errorf("mpiblast: merge aborted: a peer crashed during the hierarchical merge")
+		}
+	}
+	return w.serveFetches()
+}
+
+// stage copies a fragment's files from the shared file system to local
+// staging, file by file, and loads the staged copy. NCBI BLAST
+// memory-maps the fragment files, so the load is search time (the paper
+// observes exactly that).
+func (w *worker) stage(fragID int) (*blast.Fragment, error) {
+	r, base := w.r, w.meta.FragBases[fragID]
+	r.SetPhase(simtime.PhaseCopy)
+	for _, path := range formatdb.FragmentFiles(base) {
+		src, err := mpiio.Open(r, w.node.Shared, path)
+		if err != nil {
+			return nil, err
+		}
+		content := src.ReadAt(0, src.Size())
+		dst := mpiio.OpenOrCreate(r, w.staging, w.prefix+path)
+		dst.WriteAt(content, 0)
+	}
+	r.SetPhase(simtime.PhaseSearch)
+	return loadFragment(r, w.staging, w.prefix+base)
+}
+
+// search runs queries against one fragment, recording every hit's
+// residues for the fetch service. Each (query, fragment) result either
+// streams to the master at once or, under the tree merge, accumulates in
+// bundle for the reduction.
+func (w *worker) search(frag *blast.Fragment, fragID int, queries []*seq.Sequence, bundle *treeResults) error {
+	r := w.r
+	r.SetPhase(simtime.PhaseSearch)
+	for qi, q := range queries {
+		if err := w.ctx.SetQuery(q); err != nil {
+			return err
+		}
+		space := engine.SearchSpaceFor(w.searcher, q.Len(), w.meta.TotalLen, w.meta.NumSeqs)
+		res, err := w.ctx.SearchFragment(frag, space)
+		if err != nil {
+			return err
+		}
+		r.Compute(res.Work.Units())
+		engine.RecordWork(r.Metrics(), r.ID(), res.Work)
+		for _, hit := range res.Hits {
+			w.hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
+		}
+		if w.meta.Tree {
+			for _, hit := range res.Hits {
+				bundle.Hits[qi] = append(bundle.Hits[qi], treeHit{Worker: r.ID(), Hit: engine.PackHit(hit, nil)})
 			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
+			bundle.Work[qi].Add(res.Work)
+		} else {
 			msg := resultsMsg{Query: qi, Fragment: fragID, Worker: r.ID(), Work: res.Work}
 			for _, hit := range res.Hits {
 				msg.Hits = append(msg.Hits, engine.PackHit(hit, nil))
-				hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
 			}
 			r.SetPhase(simtime.PhaseOutput)
 			r.Send(0, tagResults, msg.encode())
 			r.SetPhase(simtime.PhaseSearch)
-			r.Yield()
 		}
+		r.Yield()
 	}
+	return nil
+}
 
-	// Fetch service: answer the master's per-hit data requests until
-	// released. All waiting here is result-processing (output) time.
+// serveFetches answers the master's per-hit data requests until released.
+// All waiting here is result-processing (output) time.
+func (w *worker) serveFetches() error {
+	r := w.r
 	r.SetPhase(simtime.PhaseOutput)
 	for {
 		data, _, tag := r.Recv(0, mpi.AnyTag)
 		if tag == tagRelease {
-			break
+			return nil
 		}
 		key, err := decodeFetchKey(data)
 		if err != nil {
 			return err
 		}
-		residues, ok := hits[key]
+		residues, ok := w.hits[key]
 		if !ok {
 			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
 			return fmt.Errorf("mpiblast: worker %d asked for unknown hit %+v", r.ID(), key)
@@ -667,9 +808,6 @@ func runWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
 		r.Send(0, tagHitData, residues)
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
 }
 
 // loadFragment reads a staged fragment database into memory with charged

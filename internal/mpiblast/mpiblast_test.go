@@ -73,20 +73,20 @@ func TestPrepareFragments(t *testing.T) {
 
 func TestRunRejectsBadConfigs(t *testing.T) {
 	nodes, job, _ := setup(t, 4)
-	if _, err := mpiblast.Run(nodes, 1, simtime.DefaultCostModel(), job); err == nil {
+	if _, err := mpiblast.Run(nodes, 1, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}); err == nil {
 		t.Fatal("single-rank baseline accepted")
 	}
-	if _, err := mpiblast.Run(nodes[:2], 4, simtime.DefaultCostModel(), job); err == nil {
+	if _, err := mpiblast.Run(nodes[:2], 4, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}); err == nil {
 		t.Fatal("too few nodes accepted")
 	}
 	// No fragments prepared yet.
-	if _, err := mpiblast.Run(nodes, 4, simtime.DefaultCostModel(), job); err == nil ||
+	if _, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "fragment") {
 		t.Fatalf("missing fragments not diagnosed: %v", err)
 	}
 	bad := *job
 	bad.DBBase = "nope"
-	if _, err := mpiblast.Run(nodes, 4, simtime.DefaultCostModel(), &bad); err == nil {
+	if _, err := mpiblast.Run(nodes, 4, mpi.Config{Cost: simtime.DefaultCostModel()}, &bad, mpiblast.Options{}); err == nil {
 		t.Fatal("missing database accepted")
 	}
 }
@@ -99,7 +99,7 @@ func TestGreedySchedulingCoversAllFragments(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpiblast.Run(nodes, 3, simtime.DefaultCostModel(), job)
+	res, err := mpiblast.Run(nodes, 3, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMoreWorkersThanFragments(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpiblast.Run(nodes, 6, simtime.DefaultCostModel(), job); err != nil {
+	if _, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := nodes[0].Shared.ReadFile("out")
@@ -157,7 +157,7 @@ func TestCopyUsesLocalDiskWhenAvailable(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mpiblast.Run(nodes, 3, simtime.DefaultCostModel(), job); err != nil {
+	if _, err := mpiblast.Run(nodes, 3, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Fragment files must have landed on the workers' local disks, not in
@@ -179,7 +179,7 @@ func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 5); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := mpiblast.Run(nodes, 6, simtime.DefaultCostModel(), job)
+	serial, err := mpiblast.Run(nodes, 6, mpi.Config{Cost: simtime.DefaultCostModel()}, job, mpiblast.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPipelinedFetchPreservesOutputAndHelps(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes2[0].Shared, "nr", 5); err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := mpiblast.RunOpts(nodes2, 6, mpi.Config{Cost: simtime.DefaultCostModel()},
+	pipelined, err := mpiblast.Run(nodes2, 6, mpi.Config{Cost: simtime.DefaultCostModel()},
 		job2, mpiblast.Options{FetchWindow: 8})
 	if err != nil {
 		t.Fatal(err)

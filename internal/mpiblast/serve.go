@@ -1,13 +1,12 @@
 // Serving mode for the baseline engine: the cluster boots once — every
 // worker COPIES its fragments to local staging and loads them exactly once
 // — and then drains an open-loop stream of query batches. The master runs
-// the same admission queue as the pio engine (engine.Admission) and the
-// same per-batch protocol as the one-shot baseline: collect per-(query,
-// fragment) results (or fold the reduction tree), merge in fragment order,
-// serially fetch each selected hit's residues, and append the rendered
-// reports at a running offset. Because the per-query text is produced by
-// exactly the one-shot code path, the streamed output file is byte-identical
-// to a one-shot run over the admitted queries.
+// the same admission queue as the pio engine (engine.Admission) and, per
+// batch, collects per-(query, fragment) results (or folds the reduction
+// tree), merges in fragment order, and runs the one-shot output stage
+// (outputStage.writeQuery) at a running offset. Because the per-query text
+// is produced by exactly the one-shot code, the streamed output file is
+// byte-identical to a one-shot run over the admitted queries.
 //
 // Fault injection is rejected up front: the baseline's recovery story is
 // re-copying whole physical fragments, which interacts with a persistent
@@ -16,14 +15,11 @@
 package mpiblast
 
 import (
-	"bytes"
 	"fmt"
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
-	"parblast/internal/mpiio"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
 	"parblast/internal/workload"
@@ -42,43 +38,12 @@ type serveBatchMsg struct {
 // schedules are rejected.
 func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts Options, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, error) {
 	var stats engine.ServeStats
-	if err := job.Validate(); err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	if nprocs < 2 {
-		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: need ≥2 ranks (1 master + workers), got %d", nprocs)
-	}
-	if len(nodes) < nprocs {
-		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: %d nodes for %d ranks", len(nodes), nprocs)
-	}
-	if len(cfg.Faults) > 0 {
-		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: serve mode does not support fault injection (fragment re-copy recovery is one-shot only)")
-	}
-	if admitCap < 0 {
-		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: negative admission cap %d", admitCap)
-	}
-	shared := nodes[0].Shared
-	db, err := formatdb.Open(shared, job.DBBase)
+	s, err := newSession(nodes, nprocs, cfg, job, opts, true)
 	if err != nil {
 		return engine.RunResult{}, stats, err
 	}
-	nFrags := job.Fragments
-	if nFrags == 0 {
-		nFrags = nprocs - 1
-	}
-	fragBases := make([]string, nFrags)
-	for i := range fragBases {
-		fragBases[i] = fmt.Sprintf("%s.frag%03d", job.DBBase, i)
-		if _, err := shared.Open(formatdb.IndexPath(fragBases[i])); err != nil {
-			return engine.RunResult{}, stats, fmt.Errorf("mpiblast: fragment %d missing (run PrepareFragments): %w", i, err)
-		}
-	}
-	fanout := opts.MergeFanout
-	if fanout == 0 {
-		fanout = mpi.DefaultTreeFanout
-	}
-	if opts.TreeMerge && fanout < 2 {
-		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: merge fan-out %d < 2", opts.MergeFanout)
+	if admitCap < 0 {
+		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: negative admission cap %d", admitCap)
 	}
 	next, prevArrival := 0, 0.0
 	for _, b := range batches {
@@ -94,40 +59,17 @@ func Serve(nodes []*vfs.Node, nprocs int, cfg mpi.Config, job *engine.Job, opts 
 	if next != len(job.Queries) {
 		return engine.RunResult{}, stats, fmt.Errorf("mpiblast: stream covers %d queries, job has %d", next, len(job.Queries))
 	}
-
-	meta := jobMeta{
-		Title:      db.Title,
-		Kind:       db.Kind,
-		NumSeqs:    db.NumSeqs,
-		TotalLen:   db.TotalResidues,
-		FragBases:  fragBases,
-		Tree:       opts.TreeMerge,
-		TreeFanout: fanout,
-		Serve:      true,
-	}
-	if cfg.Comm == nil {
-		cfg.Comm = mpi.NewCommStats(nprocs)
-	}
 	stats.Arrivals = len(batches)
-	var qlat []float64
-	clocks, err := mpi.RunConfig(nprocs, cfg, func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			return runServeMaster(r, nodes[0], job, meta, opts, batches, admitCap, &qlat, &stats)
-		}
-		return runServeWorker(r, nodes[r.ID()], job.Options)
-	})
-	if err != nil {
-		return engine.RunResult{}, stats, err
-	}
-	var outBytes int64
-	if f, err := shared.Open(job.OutputPath); err == nil {
-		outBytes = f.Size()
-	}
-	res := engine.Summarize(clocks, outBytes)
-	res.QueryLatencies = qlat
-	res.CommBytes, res.ShuffleBytes, res.CollectiveBytes, res.CommMessages = cfg.Comm.Totals()
-	res.AddIOFaults(nodes)
-	return res, stats, nil
+	res, err := s.launch(&stream{batches: batches, admitCap: admitCap, stats: &stats})
+	return res, stats, err
+}
+
+// stream is a serving run's arrival batches, admission bound and
+// per-batch accounting.
+type stream struct {
+	batches  []workload.Batch
+	admitCap int
+	stats    *engine.ServeStats
 }
 
 // serveOwners is the static fragment ownership of the serving mode:
@@ -142,28 +84,35 @@ func serveOwners(nFrags, workers, worker int) []int {
 	return mine
 }
 
-func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts Options, batches []workload.Batch, admitCap int, qlat *[]float64, stats *engine.ServeStats) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	r.Bcast(0, engine.EncodeGob(meta))
+// allWorkers is the fixed worker set of a serving run (no faults, so no
+// one ever leaves).
+func allWorkers(workers int) []int {
+	all := make([]int, 0, workers)
+	for w := 1; w <= workers; w++ {
+		all = append(all, w)
+	}
+	return all
+}
 
+// runServeMaster admits stream batches and runs each through its own
+// collection — the flat per-(query, fragment) results or the reduction
+// tree — and the shared output stage at the stream's running offset.
+func (s *session) runServeMaster(r *mpi.Rank, st *stream, qlat *[]float64) error {
+	batches, stats := st.batches, st.stats
+	s.startMaster(r)
 	workers := r.Size() - 1
-	nFrags := len(meta.FragBases)
-	searcher, err := blast.NewSearcher(job.Options)
+	nFrags := len(s.meta.FragBases)
+	o, err := s.newOutputStage(r)
 	if err != nil {
 		return err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-	members := treeMembers(serveAllWorkers(workers))
+	members := treeMembers(allWorkers(workers))
 
 	arrivals := make([]float64, len(batches))
 	for i, b := range batches {
 		arrivals[i] = b.Arrival
 	}
-	adm := engine.NewAdmission(arrivals, admitCap)
-	var off int64
+	adm := engine.NewAdmission(arrivals, st.admitCap)
 	for {
 		now := r.Clock().Now()
 		bi, arrival, ok := adm.Next(now)
@@ -185,24 +134,11 @@ func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, 
 
 		queries := b.Queries
 		var res treeResults
-		if meta.Tree {
+		if s.meta.Tree {
 			// Fold the per-batch reduction tree; membership is fixed (no
 			// faults in serve mode), so no abort protocol is needed.
-			r.SetPhase(simtime.PhaseOutput)
-			identity := treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
-			var combErr error
-			combined, _, err := r.TreeReduce(0, meta.TreeFanout, members, identity.encode(), treeResultsCombiner(r, maxTargets, &combErr))
-			if err != nil {
+			if res, _, err = o.foldTree(members, len(queries)); err != nil {
 				return err
-			}
-			if combErr != nil {
-				return combErr
-			}
-			if res, err = decodeTreeResults(combined); err != nil {
-				return err
-			}
-			if len(res.Hits) != len(queries) {
-				return fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), len(queries))
 			}
 		} else {
 			// Flat collection: every (query, fragment) result streams through
@@ -220,19 +156,13 @@ func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, 
 				if err != nil {
 					return err
 				}
-				r.SetPhase(simtime.PhaseOutput)
-				r.Advance(r.Cost().ResultMsgCost + float64(len(msg.Hits))*r.Cost().MergeItemCost)
-				hits := make([]treeHit, 0, len(msg.Hits))
-				for _, wh := range msg.Hits {
-					hits = append(hits, treeHit{Worker: msg.Worker, Hit: wh})
-				}
-				fragHits[msg.Fragment][msg.Query] = hits
+				fragHits[msg.Fragment][msg.Query] = ingestResults(r, msg)
 				fragWork[msg.Fragment][msg.Query] = msg.Work
 				r.SetPhase(simtime.PhaseIdle)
 			}
 			// Concatenate per query in fragment order — the one-shot merge's
 			// deterministic ingestion order.
-			res = treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
+			res = newTreeResults(len(queries))
 			for qi := range queries {
 				for f := 0; f < nFrags; f++ {
 					res.Hits[qi] = append(res.Hits[qi], fragHits[f][qi]...)
@@ -244,58 +174,16 @@ func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, 
 			}
 		}
 
-		// Output stage: the one-shot render/fetch/write loop, continued at
-		// the stream's running offset. The trace context stays the batch id
-		// (not the per-query ordinal the one-shot path uses), so the flow
-		// graph splits by arrival batch.
+		// Output stage, continued at the stream's running offset. The trace
+		// context stays the batch id (not the per-query ordinal the
+		// one-shot path uses), so the flow graph splits by arrival batch.
 		r.SetPhase(simtime.PhaseOutput)
-		type masterHit struct {
-			res    *blast.SubjectResult
-			worker int
-		}
 		for qi, q := range queries {
-			byOID := make(map[int]masterHit, len(res.Hits[qi]))
-			metas := make([]engine.HitMeta, 0, len(res.Hits[qi]))
-			for _, th := range res.Hits[qi] {
-				sr, _ := th.Hit.Unpack()
-				byOID[sr.OID] = masterHit{res: sr, worker: th.Worker}
-				metas = append(metas, engine.MetaFromResult(th.Worker, sr, 0))
+			kept, err := o.writeQuery(qi, q, res.Hits[qi], res.Work[qi], arrival, qlat)
+			if err != nil {
+				return err
 			}
-			merged := engine.MergeHits(metas, maxTargets)
-			engine.RecordMerge(r.Metrics(), r.ID(), len(metas), len(merged))
-
-			outFormat := job.Options.OutFormat
-			var text bytes.Buffer
-			text.WriteString(blast.RenderHeader(outFormat, meta.Kind, q, dbInfo))
-			text.WriteString(blast.RenderSummary(outFormat, engine.SummaryResults(merged)))
-			window := opts.FetchWindow
-			if window < 1 {
-				window = 1
-			}
-			sent := 0
-			for done := 0; done < len(merged); done++ {
-				for sent < len(merged) && sent-done < window {
-					h := merged[sent]
-					r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
-					sent++
-				}
-				h := merged[done]
-				residues, _, _ := r.Recv(h.Worker, tagHitData)
-				mh := byOID[h.OID]
-				block := blast.RenderHit(outFormat, q, residues, mh.res, job.Options.Matrix)
-				r.FormatCost(int64(len(block)))
-				r.Advance(r.Cost().FetchItemCost)
-				text.WriteString(block)
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			text.WriteString(blast.RenderFooter(outFormat, searcher.GappedParams(), space, res.Work[qi]))
-			r.FormatCost(int64(text.Len()) / 8)
-			out.WriteAt(text.Bytes(), off)
-			off += int64(text.Len())
-			// The admission clock is the batch's arrival, never its dispatch.
-			lat := r.Clock().Now() - arrival
-			*qlat = append(*qlat, lat)
-			engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
+			engine.RecordMerge(r.Metrics(), r.ID(), len(res.Hits[qi]), kept)
 		}
 		// Release the workers' fetch service; they loop back to the next
 		// batch broadcast.
@@ -314,64 +202,24 @@ func runServeMaster(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, 
 	return nil
 }
 
-func serveAllWorkers(workers int) []int {
-	all := make([]int, 0, workers)
-	for w := 1; w <= workers; w++ {
-		all = append(all, w)
-	}
-	return all
-}
-
-func runServeWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	var meta jobMeta
-	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
-		return err
-	}
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
-
-	staging := node.Local
-	prefix := ""
-	if staging == nil {
-		staging = node.Shared
-		prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
-	}
-
+// serve is the worker side of the stream: copy and load my fragments ONCE
+// (in the one-shot baseline this cost is paid inside the timed run per
+// fragment assignment; here it is paid before the first batch and
+// amortized over the whole stream), then search every batch against them
+// — no copy, no load: the warm-cluster payoff.
+func (w *worker) serve() error {
+	r := w.r
 	workers := r.Size() - 1
-	mine := serveOwners(len(meta.FragBases), workers, r.ID())
-	members := treeMembers(serveAllWorkers(workers))
-
-	// Warmup: copy and load my fragments ONCE. In the one-shot baseline
-	// this copy/load cost is paid inside the timed run per fragment
-	// assignment; in serving mode it is paid before the first batch and
-	// amortized over the whole stream.
+	mine := serveOwners(len(w.meta.FragBases), workers, r.ID())
+	members := treeMembers(allWorkers(workers))
 	resident := make([]*blast.Fragment, 0, len(mine))
 	for _, fragID := range mine {
-		base := meta.FragBases[fragID]
-		r.SetPhase(simtime.PhaseCopy)
-		for _, path := range formatdb.FragmentFiles(base) {
-			src, err := mpiio.Open(r, node.Shared, path)
-			if err != nil {
-				return err
-			}
-			content := src.ReadAt(0, src.Size())
-			dst := mpiio.OpenOrCreate(r, staging, prefix+path)
-			dst.WriteAt(content, 0)
-		}
-		r.SetPhase(simtime.PhaseSearch)
-		frag, err := loadFragment(r, staging, prefix+base)
+		frag, err := w.stage(fragID)
 		if err != nil {
 			return err
 		}
 		resident = append(resident, frag)
 	}
-
 	for {
 		r.SetPhase(simtime.PhaseIdle)
 		var msg serveBatchMsg
@@ -379,7 +227,7 @@ func runServeWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 			return err
 		}
 		if msg.Seq < 0 {
-			break
+			return nil
 		}
 		r.SetTraceBatch(msg.Seq)
 		wq, err := engine.DecodeWireQueries(msg.Queries)
@@ -387,81 +235,20 @@ func runServeWorker(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
 			return err
 		}
 		queries := wq.Unpack()
-
-		// Search every resident fragment — no copy, no load: the warm-
-		// cluster payoff. The (fragment, query) loop nest matches the
-		// one-shot worker, so per-(query, fragment) work counters agree.
-		hits := make(map[fetchKey][]byte)
-		bundle := treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
+		w.hits = make(map[fetchKey][]byte)
+		bundle := newTreeResults(len(queries))
 		for i, frag := range resident {
-			fragID := mine[i]
-			r.SetPhase(simtime.PhaseSearch)
-			for qi, q := range queries {
-				if err := ctx.SetQuery(q); err != nil {
-					return err
-				}
-				space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-				res, err := ctx.SearchFragment(frag, space)
-				if err != nil {
-					return err
-				}
-				r.Compute(res.Work.Units())
-				engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-				for _, hit := range res.Hits {
-					hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
-				}
-				if meta.Tree {
-					for _, hit := range res.Hits {
-						bundle.Hits[qi] = append(bundle.Hits[qi], treeHit{Worker: r.ID(), Hit: engine.PackHit(hit, nil)})
-					}
-					bundle.Work[qi].Add(res.Work)
-				} else {
-					msg := resultsMsg{Query: qi, Fragment: fragID, Worker: r.ID(), Work: res.Work}
-					for _, hit := range res.Hits {
-						msg.Hits = append(msg.Hits, engine.PackHit(hit, nil))
-					}
-					r.SetPhase(simtime.PhaseOutput)
-					r.Send(0, tagResults, msg.encode())
-					r.SetPhase(simtime.PhaseSearch)
-				}
-				r.Yield()
-			}
-		}
-		if meta.Tree {
-			r.SetPhase(simtime.PhaseOutput)
-			for qi := range bundle.Hits {
-				bundle.Hits[qi] = sortCapTreeHits(bundle.Hits[qi], maxTargets)
-			}
-			var combErr error
-			if _, _, err := r.TreeReduce(0, meta.TreeFanout, members, bundle.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
+			if err := w.search(frag, mine[i], queries, &bundle); err != nil {
 				return err
 			}
-			if combErr != nil {
-				return combErr
-			}
 		}
-
-		// Fetch service until this batch's release.
-		r.SetPhase(simtime.PhaseOutput)
-		for {
-			data, _, tag := r.Recv(0, mpi.AnyTag)
-			if tag == tagRelease {
-				break
-			}
-			key, err := decodeFetchKey(data)
-			if err != nil {
+		if w.meta.Tree {
+			if err := w.foldTree(bundle, members); err != nil {
 				return err
 			}
-			residues, ok := hits[key]
-			if !ok {
-				r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
-				return fmt.Errorf("mpiblast: worker %d asked for unknown hit %+v", r.ID(), key)
-			}
-			r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
-			r.Send(0, tagHitData, residues)
+		}
+		if err := w.serveFetches(); err != nil {
+			return err
 		}
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
 }

@@ -16,11 +16,8 @@ import (
 
 	"parblast/internal/blast"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
-	"parblast/internal/mpiio"
 	"parblast/internal/simtime"
-	"parblast/internal/vfs"
 )
 
 // treeHit is one worker-owned hit riding the reduction tree: the wire
@@ -178,19 +175,12 @@ func decodeTreeAssign(data []byte) (frag int, alive []int, err error) {
 // runMasterTree is the tree-merge master: the greedy fragment assignment
 // protocol tracked by COMPLETION (a work request acknowledges the prior
 // fragment — results never travel during search), one sweep release
-// carrying the survivor membership, the tree reduction, and then the flat
-// baseline's render/fetch/write output stage over the merged selection.
-func runMasterTree(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, opts Options, ft bool, ftTimeout float64, qlat []float64) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	r.Bcast(0, engine.EncodeGob(meta))
-	// Admission: every query is "in the system" once the job metadata
-	// broadcast completes — the latency baseline for all queries.
-	admit := r.Clock().Now()
-
+// carrying the survivor membership, the tree reduction, and then the
+// shared render/fetch/write output stage over the merged selection.
+func (s *session) runMasterTree(r *mpi.Rank, qlat *[]float64) error {
+	admit := s.startMaster(r)
 	workers := r.Size() - 1
-	nFrags := len(meta.FragBases)
-	nQueries := len(job.Queries)
+	nFrags := len(s.meta.FragBases)
 
 	r.SetPhase(simtime.PhaseIdle)
 	fragQueue := make([]int, 0, nFrags)
@@ -262,11 +252,10 @@ func runMasterTree(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, o
 	}
 
 	for !(complete() && len(parked) == len(alive)) {
-		var data []byte
 		var from, tag int
-		if ft {
+		if s.ft {
 			var err error
-			data, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, ftTimeout)
+			_, from, tag, err = r.RecvTimeout(mpi.AnySource, mpi.AnyTag, s.ftTimeout)
 			if err != nil {
 				purgeDead()
 				if len(alive) == 0 {
@@ -278,9 +267,8 @@ func runMasterTree(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, o
 				continue // stale request from a crashed worker
 			}
 		} else {
-			data, from, tag = r.Recv(mpi.AnySource, mpi.AnyTag)
+			_, from, tag = r.Recv(mpi.AnySource, mpi.AnyTag)
 		}
-		_ = data
 		if tag != tagWorkReq {
 			return fmt.Errorf("mpiblast: tree master got unexpected tag %d from %d", tag, from)
 		}
@@ -298,251 +286,80 @@ func runMasterTree(r *mpi.Rank, node *vfs.Node, job *engine.Job, meta jobMeta, o
 		r.Send(w, tagAssign, encodeTreeAssign(-1, alive))
 	}
 
-	// Hierarchical merge: the master contributes an identity bundle and
-	// folds the tree; the result is already the per-query selection.
+	// Hierarchical merge: the result is already the per-query selection.
 	r.SetPhase(simtime.PhaseOutput)
-	searcher, err := blast.NewSearcher(job.Options)
+	o, err := s.newOutputStage(r)
 	if err != nil {
 		return err
 	}
-	maxTargets := searcher.Options().MaxTargetSeqs
 	members := treeMembers(alive)
-	identity := treeResults{Work: make([]blast.WorkCounters, nQueries), Hits: make([][]treeHit, nQueries)}
-	var combErr error
-	combined, contributors, err := r.TreeReduce(0, meta.TreeFanout, members, identity.encode(), treeResultsCombiner(r, maxTargets, &combErr))
+	res, contributors, err := o.foldTree(members, len(s.job.Queries))
 	if err != nil {
 		return err
-	}
-	if combErr != nil {
-		return combErr
 	}
 	if len(contributors) != len(members) {
 		// A member died mid-merge; its results are unrecoverable. Stand
 		// the survivors down, then fail cleanly — the same output-phase
 		// contract as the flat path.
-		r.TreeBcast(0, meta.TreeFanout, members, []byte{0})
+		r.TreeBcast(0, s.meta.TreeFanout, members, []byte{0})
 		return fmt.Errorf("mpiblast: worker crashed during the hierarchical merge; recovery only covers the search phase")
 	}
-	r.TreeBcast(0, meta.TreeFanout, members, []byte{1})
-	res, err := decodeTreeResults(combined)
-	if err != nil {
-		return err
-	}
-	if len(res.Hits) != nQueries {
-		return fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), nQueries)
-	}
+	r.TreeBcast(0, s.meta.TreeFanout, members, []byte{1})
 
 	// Output stage: identical to the flat baseline, including the serial
 	// per-hit residue fetch — only the merge feeding it changed.
-	type masterHit struct {
-		res    *blast.SubjectResult
-		worker int
-	}
-	out := mpiio.OpenOrCreate(r, node.Shared, job.OutputPath)
-	dbInfo := blast.DBInfo{Title: meta.Title, NumSeqs: meta.NumSeqs, TotalLen: meta.TotalLen}
-	fetchRecv := func(w int) ([]byte, error) {
-		if !ft {
-			residues, _, _ := r.Recv(w, tagHitData)
-			return residues, nil
-		}
-		for {
-			residues, _, _, err := r.RecvTimeout(w, tagHitData, ftTimeout)
-			if err == nil {
-				return residues, nil
-			}
-			if r.Failed(w) {
-				return nil, fmt.Errorf("mpiblast: worker %d crashed during the output phase; recovery only covers the search phase", w)
-			}
-		}
-	}
-	var off int64
-	for qi, q := range job.Queries {
+	for qi, q := range s.job.Queries {
 		// One query at a time through the output loop: stamp it as the
 		// trace context so its fetch round-trips carry it.
 		r.SetTraceBatch(qi)
-		byOID := make(map[int]masterHit, len(res.Hits[qi]))
-		metas := make([]engine.HitMeta, 0, len(res.Hits[qi]))
-		for _, th := range res.Hits[qi] {
-			sr, _ := th.Hit.Unpack()
-			byOID[sr.OID] = masterHit{res: sr, worker: th.Worker}
-			metas = append(metas, engine.MetaFromResult(th.Worker, sr, 0))
+		if _, err := o.writeQuery(qi, q, res.Hits[qi], res.Work[qi], admit, qlat); err != nil {
+			return err
 		}
-		merged := engine.MergeHits(metas, maxTargets)
-
-		outFormat := job.Options.OutFormat
-		var text []byte
-		text = append(text, blast.RenderHeader(outFormat, meta.Kind, q, dbInfo)...)
-		text = append(text, blast.RenderSummary(outFormat, engine.SummaryResults(merged))...)
-		window := opts.FetchWindow
-		if window < 1 {
-			window = 1
-		}
-		sent := 0
-		for done := 0; done < len(merged); done++ {
-			for sent < len(merged) && sent-done < window {
-				h := merged[sent]
-				r.Send(h.Worker, tagFetch, fetchKey{Query: qi, OID: h.OID}.encode())
-				sent++
-			}
-			h := merged[done]
-			residues, err := fetchRecv(h.Worker)
-			if err != nil {
-				return err
-			}
-			mh := byOID[h.OID]
-			block := blast.RenderHit(outFormat, q, residues, mh.res, job.Options.Matrix)
-			r.FormatCost(int64(len(block)))
-			r.Advance(r.Cost().FetchItemCost)
-			text = append(text, block...)
-		}
-		space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-		text = append(text, blast.RenderFooter(outFormat, searcher.GappedParams(), space, res.Work[qi])...)
-		r.FormatCost(int64(len(text)) / 8)
-		out.WriteAt(text, off)
-		off += int64(len(text))
-		// The query's merged report is on disk: its end-to-end latency is
-		// settled on the master's clock.
-		lat := r.Clock().Now() - admit
-		qlat[qi] = lat
-		engine.RecordQueryLatency(r.Metrics(), r.ID(), lat)
 	}
-	for _, w := range alive {
-		r.Send(w, tagRelease, nil)
-	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
+	return s.finishMaster(r, alive)
 }
 
-// runWorkerTree is the tree-merge worker: the copy/search loop holds all
-// results locally, pre-merges them to the per-query top-k, folds them
-// into the reduction tree, and then serves the master's residue fetches
-// exactly as the flat worker does.
-func runWorkerTree(r *mpi.Rank, node *vfs.Node, opts blast.Options) error {
-	r.SetPhase(simtime.PhaseOther)
-	r.Advance(r.Cost().SetupCost)
-	var meta jobMeta
-	if err := engine.DecodeGob(r.Bcast(0, nil), &meta); err != nil {
-		return err
-	}
-	wq, err := engine.DecodeWireQueries(meta.Queries)
-	if err != nil {
-		return err
-	}
-	queries := wq.Unpack()
-	searcher, err := blast.NewSearcher(opts)
-	if err != nil {
-		return err
-	}
-	maxTargets := searcher.Options().MaxTargetSeqs
-	ctx := searcher.NewContext()
+func newTreeResults(n int) treeResults {
+	return treeResults{Work: make([]blast.WorkCounters, n), Hits: make([][]treeHit, n)}
+}
 
-	staging := node.Local
-	prefix := ""
-	if staging == nil {
-		staging = node.Shared
-		prefix = fmt.Sprintf("scratch/rank%03d/", r.ID())
-	}
-
-	// Results accumulate locally: per-query hit lists for the tree bundle
-	// plus the residues the master may fetch after the merge.
-	hits := make(map[fetchKey][]byte)
-	mine := treeResults{Work: make([]blast.WorkCounters, len(queries)), Hits: make([][]treeHit, len(queries))}
-	var aliveWorkers []int
-	searchedAny := false
-	for {
-		if searchedAny {
-			r.SetPhase(simtime.PhaseOutput)
-		} else {
-			r.SetPhase(simtime.PhaseOther)
-		}
-		r.Send(0, tagWorkReq, nil)
-		data, _, _ := r.Recv(0, tagAssign)
-		fragID, alive, err := decodeTreeAssign(data)
-		if err != nil {
-			return err
-		}
-		if fragID < 0 {
-			aliveWorkers = alive
-			break
-		}
-		searchedAny = true
-		base := meta.FragBases[fragID]
-
-		r.SetPhase(simtime.PhaseCopy)
-		for _, path := range formatdb.FragmentFiles(base) {
-			src, err := mpiio.Open(r, node.Shared, path)
-			if err != nil {
-				return err
-			}
-			content := src.ReadAt(0, src.Size())
-			dst := mpiio.OpenOrCreate(r, staging, prefix+path)
-			dst.WriteAt(content, 0)
-		}
-
-		r.SetPhase(simtime.PhaseSearch)
-		frag, err := loadFragment(r, staging, prefix+base)
-		if err != nil {
-			return err
-		}
-		for qi, q := range queries {
-			if err := ctx.SetQuery(q); err != nil {
-				return err
-			}
-			space := engine.SearchSpaceFor(searcher, q.Len(), meta.TotalLen, meta.NumSeqs)
-			res, err := ctx.SearchFragment(frag, space)
-			if err != nil {
-				return err
-			}
-			r.Compute(res.Work.Units())
-			engine.RecordWork(r.Metrics(), r.ID(), res.Work)
-			for _, hit := range res.Hits {
-				mine.Hits[qi] = append(mine.Hits[qi], treeHit{Worker: r.ID(), Hit: engine.PackHit(hit, nil)})
-				hits[fetchKey{Query: qi, OID: hit.OID}] = fragSubject(frag, hit.OID)
-			}
-			mine.Work[qi].Add(res.Work)
-			r.Yield()
-		}
-	}
-
-	// Local pre-merge (the "group" contribution): cap every query to the
-	// global top-k before the payload enters the tree.
+// foldTree is the master side of the reduction: it contributes an identity
+// bundle covering n queries and returns the folded per-query selection and
+// the members that contributed.
+func (o *outputStage) foldTree(members []int, n int) (treeResults, []int, error) {
+	r := o.r
 	r.SetPhase(simtime.PhaseOutput)
-	for qi := range mine.Hits {
-		mine.Hits[qi] = sortCapTreeHits(mine.Hits[qi], maxTargets)
-	}
-	members := treeMembers(aliveWorkers)
+	identity := newTreeResults(n)
 	var combErr error
-	if _, _, err := r.TreeReduce(0, meta.TreeFanout, members, mine.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
-		return err
+	combined, contributors, err := r.TreeReduce(0, o.s.meta.TreeFanout, members, identity.encode(), treeResultsCombiner(r, o.maxTargets, &combErr))
+	if err != nil {
+		return treeResults{}, nil, err
 	}
 	if combErr != nil {
-		return combErr
+		return treeResults{}, nil, combErr
 	}
-	marker := r.TreeBcast(0, meta.TreeFanout, members, nil)
-	if len(marker) != 1 || marker[0] == 0 {
-		return fmt.Errorf("mpiblast: merge aborted: a peer crashed during the hierarchical merge")
+	res, err := decodeTreeResults(combined)
+	if err != nil {
+		return treeResults{}, nil, err
 	}
+	if len(res.Hits) != n {
+		return treeResults{}, nil, fmt.Errorf("mpiblast: tree merge returned %d queries, want %d", len(res.Hits), n)
+	}
+	return res, contributors, nil
+}
 
-	// Fetch service: unchanged from the flat baseline.
-	for {
-		data, _, tag := r.Recv(0, mpi.AnyTag)
-		if tag == tagRelease {
-			break
-		}
-		key, err := decodeFetchKey(data)
-		if err != nil {
-			return err
-		}
-		residues, ok := hits[key]
-		if !ok {
-			r.Metrics().Counter("engine.cache_misses", r.ID()).Inc()
-			return fmt.Errorf("mpiblast: worker %d asked for unknown hit %+v", r.ID(), key)
-		}
-		r.Metrics().Counter("engine.cache_hits", r.ID()).Inc()
-		r.Send(0, tagHitData, residues)
+// foldTree is the worker side of the reduction: cap every query to the
+// global top-k locally (the "group" contribution) and fold the bundle in.
+func (w *worker) foldTree(bundle treeResults, members []int) error {
+	r := w.r
+	r.SetPhase(simtime.PhaseOutput)
+	maxTargets := w.searcher.Options().MaxTargetSeqs
+	for qi := range bundle.Hits {
+		bundle.Hits[qi] = sortCapTreeHits(bundle.Hits[qi], maxTargets)
 	}
-	r.SetPhase(simtime.PhaseOther)
-	r.Barrier()
-	return nil
+	var combErr error
+	if _, _, err := r.TreeReduce(0, w.meta.TreeFanout, members, bundle.encode(), treeResultsCombiner(r, maxTargets, &combErr)); err != nil {
+		return err
+	}
+	return combErr
 }

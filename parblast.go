@@ -379,7 +379,7 @@ func (c *Cluster) job(s Search) *engine.Job {
 // mpiConfig wires the cluster's cost model, faults, metrics, and trace
 // observers into one runtime config.
 func (c *Cluster) mpiConfig(s Search) mpi.Config {
-	cfg := mpi.Config{Cost: c.cost, Speeds: s.Pio.NodeSpeeds, Faults: s.Faults, Metrics: c.metrics}
+	cfg := mpi.Config{Cost: c.cost, Faults: s.Faults, Metrics: c.metrics}
 	if c.trace != nil {
 		cfg.Observer = c.trace.Observer
 		tr := c.trace
@@ -423,9 +423,9 @@ func (c *Cluster) Run(eng Engine, s Search) (Result, error) {
 		}
 		return Result{OutputBytes: out}, nil
 	case EngineMPIBlast:
-		return mpiblast.RunOpts(c.nodes, c.procs, cfg, job, s.Mpi)
+		return mpiblast.Run(c.nodes, c.procs, cfg, job, s.Mpi)
 	case EnginePioBLAST:
-		return core.RunConfig(c.nodes, c.procs, cfg, job, s.Pio)
+		return core.Run(c.nodes, c.procs, cfg, job, s.Pio)
 	default:
 		return Result{}, fmt.Errorf("parblast: unknown engine %v", eng)
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Full verification gate: formatting, build, vet, race-enabled tests, a
 # smoke run of the kernel benchmarks (one iteration — checks they still
-# execute, not perf), an examples build + quickstart smoke run, and a
-# telemetry smoke run (parblast -report/-trace-out + artifact validation).
+# execute, not perf), an examples build + quickstart smoke run, a
+# telemetry smoke run (parblast -report/-trace-out + artifact validation),
+# and the host-clock benchmark's virtual-clock gate.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -118,3 +119,11 @@ cmp "$tmp/results_tune.txt" "$tmp/results_hinted.txt"
 # Perf-trajectory guard: the newest checked-in kernel benchmark record must
 # not regress allocation counts against its predecessor.
 go run ./scripts/benchdiff -old BENCH_1.json -new BENCH_2.json
+
+# Host-clock benchmark gate: its own module vets and tests clean, and one
+# short run per workload must pass the output oracle and match the virtual
+# clocks pinned in hostbench/gate.go (run.sh exits non-zero otherwise).
+(cd hostbench && go vet . && go test .)
+for w in pio-wide mpi-narrow pio-serve merge-wide; do
+    bash hostbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
