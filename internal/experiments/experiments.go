@@ -2,7 +2,11 @@
 // evaluation (§4) on the simulated cluster: the mpiBLAST characterization
 // (Figure 1a/1b), the Table 1 phase breakdown, the query→output size map
 // (Table 2), the Altix scalability studies (Figure 3a/3b), the NFS-cluster
-// study (Figure 4), and the design-choice ablations DESIGN.md calls out.
+// study (Figure 4), and the design-choice ablations DESIGN.md calls out,
+// plus the extension studies (failure recovery, merge scalability, I/O
+// auto-tuning, per-query latency, online serving). Specs is the one
+// catalogue of all of them; every parallel engine run goes through
+// execute, which brings up a fresh cluster and dispatches to an engine.
 //
 // The workload is the paper's, scaled to laptop size: a redundant
 // ("family"-structured) protein database standing in for GenBank nr, and
@@ -24,6 +28,7 @@ import (
 	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
+	"parblast/internal/report"
 	"parblast/internal/seq"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
@@ -93,17 +98,48 @@ func blade() platform {
 	return platform{name: "blade-nfs", shared: vfs.NFSLike(), local: &l}
 }
 
-// runSpec is one engine execution.
+// faultSAN is the recovery scenario's platform: a SAN-class shared store
+// with enough channels that all workers acquire data in parallel. On the
+// serialized blade NFS the copy phase staggers the workers so much that a
+// victim's recovery work hides in the stragglers' shadow; in lockstep,
+// recovery always lands on the critical path and the wall-time delta is the
+// recovery cost itself. Staging goes to IDE-class node-local disks (the
+// paper's era), which is exactly the medium mpiBLAST must re-write during
+// recovery.
+func faultSAN() platform {
+	ide := vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
+	return platform{
+		name:   "san-ide",
+		shared: vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32},
+		local:  &ide,
+	}
+}
+
+// runSpec is one engine execution on a fresh cluster.
 type runSpec struct {
-	lab         *Lab
-	plat        platform
-	engineName  string // "mpi" or "pio"
-	procs       int
-	fragments   int // 0 = natural
-	queryBytes  int
-	pio         core.Options
-	fetchWindow int
-	speeds      []float64 // per-rank compute-speed factors (nil = uniform)
+	lab        *Lab
+	plat       platform
+	engineName string // "mpi" or "pio"
+	procs      int
+	fragments  int // 0 = natural
+	queries    []*seq.Sequence
+	cfg        mpi.Config // Cost is always the lab's
+	pio        core.Options
+	mpi        mpiblast.Options
+	// ioFaults is injected into the shared store after set-up; its FirstOp
+	// counts from the run's first shared-store access.
+	ioFaults *vfs.FaultPlan
+	// batches, when non-nil, serves the queries as this open-loop stream
+	// behind an admission queue of admitCap (0 = unbounded).
+	batches  []workload.Batch
+	admitCap int
+}
+
+// runOutcome is what one execution produced.
+type runOutcome struct {
+	res   engine.RunResult
+	stats engine.ServeStats // serving runs only
+	out   []byte            // the output file
 }
 
 // Row is one measured experiment data point.
@@ -117,61 +153,93 @@ type Row struct {
 	Result      engine.RunResult
 }
 
-// execute runs one spec on a fresh cluster.
-func execute(spec runSpec) (Row, error) {
-	row := Row{
-		Engine:     spec.engineName,
-		Procs:      spec.procs,
-		Fragments:  spec.fragments,
-		QueryBytes: spec.queryBytes,
-	}
+// execute brings up a fresh cluster for spec — nodes on its platform, the
+// lab's database formatted on the shared store and, for mpi, split into
+// physical fragments — and runs its engine there, one-shot or serving.
+func execute(spec runSpec) (runOutcome, error) {
+	var o runOutcome
 	nodes, err := vfs.Cluster(spec.procs, spec.plat.shared, spec.plat.local)
 	if err != nil {
-		return row, err
+		return o, err
 	}
 	seqs, err := workload.SynthesizeDB(spec.lab.DB)
 	if err != nil {
-		return row, err
+		return o, err
 	}
 	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
 		Title: "synthetic nr", Kind: spec.lab.DB.Kind,
 	}); err != nil {
-		return row, err
+		return o, err
 	}
-	queries, err := spec.lab.queries(spec.queryBytes)
-	if err != nil {
-		return row, err
-	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    spec.lab.Options,
-		OutputPath: "results.out",
-		Fragments:  spec.fragments,
-	}
-	var res engine.RunResult
-	switch spec.engineName {
-	case "mpi":
+	if spec.engineName == "mpi" {
 		nFrags := spec.fragments
 		if nFrags == 0 {
 			nFrags = spec.procs - 1
 		}
 		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
-			return row, err
+			return o, err
 		}
-		res, err = mpiblast.Run(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost}, job,
-			mpiblast.Options{FetchWindow: spec.fetchWindow})
-	case "pio":
-		res, err = core.Run(nodes, spec.procs, mpi.Config{Cost: spec.lab.Cost, Speeds: spec.speeds}, job, spec.pio)
+	}
+	if spec.ioFaults != nil {
+		// Shift the run-relative plan past the accesses set-up (formatdb,
+		// fragment prep) already charged, so every faulted ordinal lands
+		// inside the measured run.
+		p := *spec.ioFaults
+		ops, _, _ := nodes[0].Shared.Stats()
+		p.FirstOp += ops
+		if err := nodes[0].Shared.InjectFaults(p); err != nil {
+			return o, err
+		}
+	}
+	job := &engine.Job{
+		DBBase:     "nr",
+		Queries:    spec.queries,
+		Options:    spec.lab.Options,
+		OutputPath: "results.out",
+		Fragments:  spec.fragments,
+	}
+	cfg := spec.cfg
+	cfg.Cost = spec.lab.Cost
+	serve := spec.batches != nil
+	switch {
+	case spec.engineName == "mpi" && serve:
+		o.res, o.stats, err = mpiblast.Serve(nodes, spec.procs, cfg, job, spec.mpi, spec.batches, spec.admitCap)
+	case spec.engineName == "mpi":
+		o.res, err = mpiblast.Run(nodes, spec.procs, cfg, job, spec.mpi)
+	case spec.engineName == "pio" && serve:
+		o.res, o.stats, err = core.Serve(nodes, spec.procs, cfg, job, spec.pio, spec.batches, spec.admitCap)
+	case spec.engineName == "pio":
+		o.res, err = core.Run(nodes, spec.procs, cfg, job, spec.pio)
 	default:
 		err = fmt.Errorf("experiments: unknown engine %q", spec.engineName)
 	}
 	if err != nil {
-		return row, err
+		return o, err
 	}
-	row.Result = res
-	row.OutputBytes = res.OutputBytes
-	return row, nil
+	o.out, err = nodes[0].Shared.ReadFile(job.OutputPath)
+	return o, err
+}
+
+// tableRow runs one phase-table data point: spec over the lab's query set
+// of queryBytes.
+func tableRow(spec runSpec, queryBytes int) (Row, error) {
+	queries, err := spec.lab.queries(queryBytes)
+	if err != nil {
+		return Row{}, err
+	}
+	spec.queries = queries
+	o, err := execute(spec)
+	if err != nil {
+		return Row{}, err
+	}
+	return Row{
+		Engine:      spec.engineName,
+		Procs:       spec.procs,
+		Fragments:   spec.fragments,
+		QueryBytes:  queryBytes,
+		OutputBytes: o.res.OutputBytes,
+		Result:      o.res,
+	}, nil
 }
 
 // --- Figure 1(a): mpiBLAST search vs non-search time by process count ----
@@ -189,10 +257,10 @@ func Fig1a(lab *Lab) ([]Row, error) {
 	ntLab.DB.IDPrefix = "nt"
 	var rows []Row
 	for _, p := range []int{16, 32, 64} {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: &ntLab, plat: altix(), engineName: "mpi",
-			procs: p, queryBytes: lab.QuerySizes[2],
-		})
+			procs: p,
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("fig1a p=%d: %w", p, err)
 		}
@@ -208,10 +276,10 @@ func Fig1a(lab *Lab) ([]Row, error) {
 func Fig1b(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, f := range []int{31, 61, 96, 167} {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: lab, plat: altix(), engineName: "mpi",
-			procs: 32, fragments: f, queryBytes: lab.QuerySizes[2],
-		})
+			procs: 32, fragments: f,
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("fig1b f=%d: %w", f, err)
 		}
@@ -226,10 +294,10 @@ func Fig1b(lab *Lab) ([]Row, error) {
 func Table1(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, eng := range []string{"mpi", "pio"} {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: lab, plat: altix(), engineName: eng,
-			procs: 32, queryBytes: lab.QuerySizes[2],
-		})
+			procs: 32,
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", eng, err)
 		}
@@ -244,10 +312,10 @@ func Table1(lab *Lab) ([]Row, error) {
 func Table2(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, qb := range lab.QuerySizes {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: lab, plat: altix(), engineName: "pio",
-			procs: 8, queryBytes: qb,
-		})
+			procs: 8,
+		}, qb)
 		if err != nil {
 			return nil, fmt.Errorf("table2 q=%d: %w", qb, err)
 		}
@@ -263,10 +331,10 @@ func Fig3a(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, p := range []int{4, 8, 16, 32, 62} {
 		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
+			row, err := tableRow(runSpec{
 				lab: lab, plat: altix(), engineName: eng,
-				procs: p, queryBytes: lab.QuerySizes[2],
-			})
+				procs: p,
+			}, lab.QuerySizes[2])
 			if err != nil {
 				return nil, fmt.Errorf("fig3a %s p=%d: %w", eng, p, err)
 			}
@@ -283,10 +351,10 @@ func Fig3b(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, qb := range lab.QuerySizes {
 		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
+			row, err := tableRow(runSpec{
 				lab: lab, plat: altix(), engineName: eng,
-				procs: 62, queryBytes: qb,
-			})
+				procs: 62,
+			}, qb)
 			if err != nil {
 				return nil, fmt.Errorf("fig3b %s q=%d: %w", eng, qb, err)
 			}
@@ -303,10 +371,10 @@ func Fig4(lab *Lab) ([]Row, error) {
 	var rows []Row
 	for _, p := range []int{4, 8, 16, 32} {
 		for _, eng := range []string{"mpi", "pio"} {
-			row, err := execute(runSpec{
+			row, err := tableRow(runSpec{
 				lab: lab, plat: blade(), engineName: eng,
-				procs: p, queryBytes: lab.QuerySizes[2],
-			})
+				procs: p,
+			}, lab.QuerySizes[2])
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s p=%d: %w", eng, p, err)
 			}
@@ -361,11 +429,11 @@ func Ablations(lab *Lab) ([]Row, error) {
 		if v.mpi {
 			eng = "mpi"
 		}
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: &vlab, plat: v.plat, engineName: eng,
-			procs: 32, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio,
-			fetchWindow: v.fetch,
-		})
+			procs: 32, fragments: v.frag, pio: v.pio,
+			mpi: mpiblast.Options{FetchWindow: v.fetch},
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
@@ -403,10 +471,10 @@ func ReadPath(lab *Lab) ([]Row, error) {
 	}
 	var rows []Row
 	for _, v := range variants {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: lab, plat: v.plat, engineName: "pio",
-			procs: procs, fragments: frags, queryBytes: lab.QuerySizes[2], pio: v.pio,
-		})
+			procs: procs, fragments: frags, pio: v.pio,
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("readpath %s: %w", v.name, err)
 		}
@@ -441,10 +509,10 @@ func Hetero(lab *Lab) ([]Row, error) {
 	}
 	var rows []Row
 	for _, v := range variants {
-		row, err := execute(runSpec{
+		row, err := tableRow(runSpec{
 			lab: lab, plat: altix(), engineName: "pio",
-			procs: procs, fragments: v.frag, queryBytes: lab.QuerySizes[2], pio: v.pio, speeds: speeds,
-		})
+			procs: procs, fragments: v.frag, pio: v.pio, cfg: mpi.Config{Speeds: speeds},
+		}, lab.QuerySizes[2])
 		if err != nil {
 			return nil, fmt.Errorf("hetero %s: %w", v.name, err)
 		}
@@ -476,87 +544,6 @@ type FaultRow struct {
 // data, where the engines genuinely differ (fragment re-copy vs re-issued
 // offsets).
 const faultQueryBytes = 500
-
-// runFaultSpec executes one engine on a fresh cluster with the given fault
-// schedule — crashes (mpi layer) and/or transient I/O errors on the shared
-// store (vfs layer) — and returns the result plus the produced output bytes.
-func (l *Lab) runFaultSpec(eng string, procs int, faults []mpi.Fault, ioPlan *vfs.FaultPlan) (engine.RunResult, []byte, error) {
-	// A dedicated platform for the recovery scenario: a SAN-class shared
-	// store with enough channels that all workers acquire data in
-	// parallel. On the serialized blade NFS the copy phase staggers the
-	// workers so much that a victim's recovery work hides in the
-	// stragglers' shadow; in lockstep, recovery always lands on the
-	// critical path and the wall-time delta is the recovery cost itself.
-	// Staging goes to IDE-class node-local disks (the paper's era), which
-	// is exactly the medium mpiBLAST must re-write during recovery.
-	shared := vfs.Profile{Name: "san", Latency: 1e-3, Bandwidth: 60e6, Channels: 32}
-	staging := vfs.Profile{Name: "ide", Latency: 8e-3, Bandwidth: 20e6, Channels: 1}
-	nodes, err := vfs.Cluster(procs, shared, &staging)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	seqs, err := workload.SynthesizeDB(l.DB)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: l.DB.Kind,
-	}); err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	queries, err := l.queries(faultQueryBytes)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	// Natural partitioning: one fragment per worker, so the victim loses
-	// exactly one partition and the recovery cost is a single clean
-	// re-acquire + re-search in both engines.
-	nFrags := procs - 1
-	if eng == "mpi" {
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", nFrags); err != nil {
-			return engine.RunResult{}, nil, err
-		}
-	}
-	if ioPlan != nil {
-		// Schedule the plan relative to the RUN's first shared-store access:
-		// FirstOp in the plan is run-relative, so shift it past the accesses
-		// setup (formatdb, fragment prep) already charged. Injection after
-		// setup keeps every faulted ordinal inside the measured run.
-		p := *ioPlan
-		ops, _, _ := nodes[0].Shared.Stats()
-		p.FirstOp += ops
-		if err := nodes[0].Shared.InjectFaults(p); err != nil {
-			return engine.RunResult{}, nil, err
-		}
-	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    l.Options,
-		OutputPath: "results.out",
-		Fragments:  nFrags,
-	}
-	cfg := mpi.Config{Cost: l.Cost, Faults: faults}
-	var res engine.RunResult
-	switch eng {
-	case "mpi":
-		res, err = mpiblast.Run(nodes, procs, cfg, job, mpiblast.Options{})
-	case "pio":
-		// Arm the recovery protocol in the baseline too, so the overhead
-		// isolates recovery work rather than protocol presence.
-		res, err = core.Run(nodes, procs, cfg, job, core.Options{FaultTolerant: true})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	out, err := nodes[0].Shared.ReadFile(job.OutputPath)
-	if err != nil {
-		return engine.RunResult{}, nil, err
-	}
-	return res, out, nil
-}
 
 // Faults measures failure recovery on both engines (§3.1's operational
 // argument, extended to run time): a fault-free baseline fixes the crash
@@ -596,13 +583,26 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 		return nil, err
 	}
 
+	// Natural partitioning: one fragment per worker, so the victim loses
+	// exactly one partition and the recovery cost is a single clean
+	// re-acquire + re-search in both engines. The recovery protocol is
+	// armed in pio's baseline too, so the overhead isolates recovery work
+	// rather than protocol presence.
+	run := func(eng string, faults []mpi.Fault, ioPlan *vfs.FaultPlan) (runOutcome, error) {
+		return execute(runSpec{
+			lab: lab, plat: faultSAN(), engineName: eng,
+			procs: procs, fragments: procs - 1, queries: queries,
+			cfg: mpi.Config{Faults: faults}, pio: core.Options{FaultTolerant: true},
+			ioFaults: ioPlan,
+		})
+	}
 	var rows []FaultRow
 	for _, eng := range []string{"mpi", "pio"} {
-		free, freeOut, err := lab.runFaultSpec(eng, procs, nil, nil)
+		free, err := run(eng, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("faults %s baseline: %w", eng, err)
 		}
-		if !bytes.Equal(freeOut, oracle) {
+		if !bytes.Equal(free.out, oracle) {
 			return nil, fmt.Errorf("faults %s baseline: output differs from the sequential oracle", eng)
 		}
 		// Crash the last worker at 75% of the pre-output span (copy + input
@@ -610,8 +610,8 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 		// crashing inside the serialized copy/input window would REFUND
 		// storage contention to the survivors and mask the recovery cost —
 		// but still inside its search work.
-		at := 0.75 * (free.Wall - free.Phase.Output)
-		crashed, crashedOut, err := lab.runFaultSpec(eng, procs, []mpi.Fault{
+		at := 0.75 * (free.res.Wall - free.res.Phase.Output)
+		crashed, err := run(eng, []mpi.Fault{
 			{Rank: procs - 1, At: at, Kind: mpi.FaultCrash},
 		}, nil)
 		if err != nil {
@@ -621,17 +621,17 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 			Engine:    eng,
 			Procs:     procs,
 			CrashAt:   at,
-			FaultFree: free.Wall,
-			Faulted:   crashed.Wall,
-			Overhead:  crashed.Wall - free.Wall,
-			Identical: bytes.Equal(crashedOut, oracle),
-			Result:    crashed,
+			FaultFree: free.res.Wall,
+			Faulted:   crashed.res.Wall,
+			Overhead:  crashed.res.Wall - free.res.Wall,
+			Identical: bytes.Equal(crashed.out, oracle),
+			Result:    crashed.res,
 		})
 		// Transient I/O errors on the shared store (retry + exponential
 		// backoff in the vfs layer): output must be unchanged, the cost is
 		// pure latency, and the retry/backoff totals surface through
 		// engine.RunResult's I/O fault stats.
-		ioFaulted, ioOut, err := lab.runFaultSpec(eng, procs, nil, &vfs.FaultPlan{
+		ioFaulted, err := run(eng, nil, &vfs.FaultPlan{
 			FirstOp: 3, Every: 5, Count: 4, Failures: 2, Backoff: 0.002,
 		})
 		if err != nil {
@@ -640,20 +640,20 @@ func Faults(lab *Lab) ([]FaultRow, error) {
 		rows = append(rows, FaultRow{
 			Engine:    eng + "+io",
 			Procs:     procs,
-			FaultFree: free.Wall,
-			Faulted:   ioFaulted.Wall,
-			Overhead:  ioFaulted.Wall - free.Wall,
-			Identical: bytes.Equal(ioOut, oracle),
-			Result:    ioFaulted,
+			FaultFree: free.res.Wall,
+			Faulted:   ioFaulted.res.Wall,
+			Overhead:  ioFaulted.res.Wall - free.res.Wall,
+			Identical: bytes.Equal(ioFaulted.out, oracle),
+			Result:    ioFaulted.res,
 		})
 	}
 	return rows, nil
 }
 
-// PrintFaultRows renders the fault-tolerance comparison: worker crashes
+// printFaultRows renders the fault-tolerance comparison: worker crashes
 // and transient-I/O schedules, with the vfs retry/backoff stats surfaced.
-func PrintFaultRows(w io.Writer, rows []FaultRow) {
-	fmt.Fprintf(w, "\n== Fault tolerance: worker crash at mid-search + transient I/O errors ==\n")
+func printFaultRows(w io.Writer, title string, rows []FaultRow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%-8s %5s %10s %10s %10s %10s %10s %9s %9s %9s\n",
 		"engine", "procs", "crashAt", "faultfree", "faulted", "overhead", "identical",
 		"ioFaults", "ioRetries", "backoff")
@@ -670,6 +670,21 @@ func PrintFaultRows(w io.Writer, rows []FaultRow) {
 		fmt.Fprintf(w, "recovery-cost gap: mpi re-copies the physical fragment (%.3fs overhead), pio re-issues offsets (%.3fs)\n",
 			mpiRow.Overhead, pioRow.Overhead)
 	}
+}
+
+// faultSuiteRows flattens fault-tolerance rows; the faulted run's summary
+// carries the I/O retry/backoff stats.
+func faultSuiteRows(rows []FaultRow) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, report.SuiteRow{
+			Label:   r.Engine,
+			Engine:  r.Engine,
+			Procs:   r.Procs,
+			Summary: report.SummaryOf(r.Result),
+		})
+	}
+	return out
 }
 
 // PrepRow is one row of the operational-overhead comparison.
@@ -729,9 +744,9 @@ func PrepCost(lab *Lab) ([]PrepRow, error) {
 	return rows, nil
 }
 
-// PrintPrepRows renders the operational-overhead table.
-func PrintPrepRows(w io.Writer, rows []PrepRow) {
-	fmt.Fprintf(w, "\n== Operational overhead (§3.1): pre-partitioning vs global files ==\n")
+// printPrepRows renders the operational-overhead table.
+func printPrepRows(w io.Writer, title string, rows []PrepRow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%-18s %8s %7s %10s %s\n", "scheme", "workers", "files", "bytes", "re-run needed when workers grow?")
 	for _, r := range rows {
 		workers := "any"
@@ -765,49 +780,18 @@ func PrintRows(w io.Writer, title string, rows []Row) {
 	}
 }
 
-// Spec names one row-shaped experiment. The catalogue lives in Specs so
-// every consumer (All, cmd/benchsuite, suite artifacts) iterates the same
-// list in the same presentation order.
-type Spec struct {
-	Name  string
-	Title string
-	Run   func(*Lab) ([]Row, error)
-}
-
-// Specs returns the row-shaped experiment catalogue in presentation order.
-func Specs() []Spec {
-	return []Spec{
-		{"fig1a", "Figure 1(a): mpiBLAST time distribution", Fig1a},
-		{"fig1b", "Figure 1(b): fragment-count sensitivity (32 procs)", Fig1b},
-		{"table1", "Table 1: phase breakdown at 32 processes", Table1},
-		{"table2", "Table 2: query size vs output size", Table2},
-		{"fig3a", "Figure 3(a): node scalability (Altix/XFS)", Fig3a},
-		{"fig3b", "Figure 3(b): output scalability at 62 processes", Fig3b},
-		{"fig4", "Figure 4: node scalability (blade/NFS)", Fig4},
-		{"ablations", "Ablations: output mode, pruning, batching, granularity", Ablations},
-		{"readpath", "Read path: collective input reads + input/search overlap", ReadPath},
-		{"hetero", "Heterogeneous cluster: static vs dynamic partitioning", Hetero},
+// suiteRows flattens phase-table rows into the artifact's row shape.
+func suiteRows(rows []Row) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, report.SuiteRow{
+			Label:      r.Label,
+			Engine:     r.Engine,
+			Procs:      r.Procs,
+			Fragments:  r.Fragments,
+			QueryBytes: r.QueryBytes,
+			Summary:    report.SummaryOf(r.Result),
+		})
 	}
-}
-
-// All runs every experiment and prints them — the benchsuite entry point.
-func All(w io.Writer, lab *Lab) error {
-	for _, exp := range Specs() {
-		rows, err := exp.Run(lab)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.Title, err)
-		}
-		PrintRows(w, exp.Title, rows)
-	}
-	prep, err := PrepCost(lab)
-	if err != nil {
-		return fmt.Errorf("prep cost: %w", err)
-	}
-	PrintPrepRows(w, prep)
-	faults, err := Faults(lab)
-	if err != nil {
-		return fmt.Errorf("faults: %w", err)
-	}
-	PrintFaultRows(w, faults)
-	return nil
+	return out
 }

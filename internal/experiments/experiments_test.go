@@ -343,7 +343,7 @@ func TestPrepCost(t *testing.T) {
 		t.Fatalf("fragment volume implausible: %d vs global %d", rows[0].Bytes, pio.Bytes)
 	}
 	var buf bytes.Buffer
-	PrintPrepRows(&buf, rows)
+	printPrepRows(&buf, "prep", rows)
 	if !strings.Contains(buf.String(), "one global set") {
 		t.Fatalf("prep table malformed:\n%s", buf.String())
 	}

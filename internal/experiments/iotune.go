@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"parblast/internal/mpi"
 	"parblast/internal/mpiio"
+	"parblast/internal/report"
 	"parblast/internal/simtime"
 	"parblast/internal/vfs"
 )
@@ -243,13 +245,50 @@ func IOTune(lab *Lab) ([]IOTuneRow, *mpiio.HintsArtifact, error) {
 	return rows, artifact, nil
 }
 
-// PrintIOTuneRows renders the tuned-vs-fixed table.
-func PrintIOTuneRows(w io.Writer, rows []IOTuneRow) {
-	fmt.Fprintf(w, "\n== I/O auto-tuning: learned hints vs fixed heuristics ==\n")
+// printIOTuneRows renders the tuned-vs-fixed table.
+func printIOTuneRows(w io.Writer, title string, rows []IOTuneRow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%8s %8s %11s %11s %12s %10s %8s %10s\n",
 		"fs", "pattern", "fixed", "tuned", "strategy", "sieveGap", "speedup", "identical")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8s %8s %10.4fs %10.4fs %12s %10d %7.2fx %10v\n",
 			r.Profile, r.Pattern, r.FixedS, r.TunedS, r.Strategy, r.SieveGap, r.Speedup, r.Identical)
 	}
+}
+
+// ioTuneSuiteRows flattens tuned-vs-fixed cells into the suite artifact's
+// row shape: the tuned wall per (profile, pattern) cell, labelled with the
+// learned strategy.
+func ioTuneSuiteRows(rows []IOTuneRow) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, report.SuiteRow{
+			Label:  fmt.Sprintf("%s/%s %s", r.Profile, r.Pattern, r.Strategy),
+			Engine: "iotune",
+			Summary: report.RunSummary{
+				Wall: r.TunedS,
+			},
+		})
+	}
+	return out
+}
+
+// runIOTune runs the tuned-vs-fixed study and, when env.HintsOut is set,
+// persists the learned-hints artifact. IOTune enforces the regression gate
+// itself (tuned ≤ fixed everywhere, a strict win somewhere, byte-identity
+// always).
+func runIOTune(env Env) ([]IOTuneRow, error) {
+	rows, artifact, err := IOTune(env.Lab)
+	if err != nil || env.HintsOut == "" {
+		return rows, err
+	}
+	data, err := artifact.Encode()
+	if err != nil {
+		return rows, err
+	}
+	if err := os.WriteFile(env.HintsOut, data, 0o644); err != nil {
+		return rows, err
+	}
+	fmt.Fprintf(env.Out, "learned I/O hints: %d keys → %s\n", len(artifact.Entries), env.HintsOut)
+	return rows, nil
 }

@@ -52,7 +52,7 @@ func TestIOTuneShape(t *testing.T) {
 		t.Errorf("learned artifact does not validate: %v", err)
 	}
 	var buf bytes.Buffer
-	PrintIOTuneRows(&buf, rows)
+	printIOTuneRows(&buf, "iotune", rows)
 	if buf.Len() == 0 {
 		t.Error("empty table")
 	}

@@ -5,14 +5,11 @@ import (
 	"io"
 
 	"parblast/internal/core"
-	"parblast/internal/engine"
-	"parblast/internal/formatdb"
 	"parblast/internal/mpi"
 	"parblast/internal/mpiblast"
 	"parblast/internal/report"
+	"parblast/internal/seq"
 	"parblast/internal/trace"
-	"parblast/internal/vfs"
-	"parblast/internal/workload"
 )
 
 // The latency experiment: the per-query accounting view of the paper's
@@ -59,10 +56,14 @@ func latencyProtocols() []struct {
 
 // Latency sweeps ranks × protocols with flow tracing enabled.
 func Latency(lab *Lab) ([]LatencyRow, error) {
+	queries, err := lab.queries(lab.QuerySizes[1])
+	if err != nil {
+		return nil, err
+	}
 	var rows []LatencyRow
 	for _, procs := range []int{8, 16} {
 		for _, p := range latencyProtocols() {
-			row, err := runLatencySpec(lab, p.eng, p.name, procs, p.tree)
+			row, err := runLatencySpec(lab, queries, p.eng, p.name, procs, p.tree)
 			if err != nil {
 				return nil, fmt.Errorf("latency %s p=%d: %w", p.name, procs, err)
 			}
@@ -73,37 +74,12 @@ func Latency(lab *Lab) ([]LatencyRow, error) {
 }
 
 // runLatencySpec executes one protocol on a fresh cluster with the trace
-// collector and flow recording attached (the generic execute() runs
-// untraced), then folds the collector into the latency/critical-path row.
-func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyRow, error) {
+// collector and flow recording attached (phase-table runs are untraced),
+// then folds the collector into the latency/critical-path row.
+func runLatencySpec(lab *Lab, queries []*seq.Sequence, eng, proto string, procs int, tree bool) (LatencyRow, error) {
 	row := LatencyRow{Protocol: proto, Engine: eng, Procs: procs}
-	plat := altix()
-	nodes, err := vfs.Cluster(procs, plat.shared, plat.local)
-	if err != nil {
-		return row, err
-	}
-	seqs, err := workload.SynthesizeDB(lab.DB)
-	if err != nil {
-		return row, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: lab.DB.Kind,
-	}); err != nil {
-		return row, err
-	}
-	queries, err := lab.queries(lab.QuerySizes[1])
-	if err != nil {
-		return row, err
-	}
-	job := &engine.Job{
-		DBBase:     "nr",
-		Queries:    queries,
-		Options:    lab.Options,
-		OutputPath: "results.out",
-	}
 	col := trace.NewCollector()
 	cfg := mpi.Config{
-		Cost:     lab.Cost,
 		Observer: col.Observer,
 		OnFlow: func(f mpi.FlowEvent) {
 			col.RecordFlow(trace.Flow{
@@ -113,31 +89,23 @@ func runLatencySpec(lab *Lab, eng, proto string, procs int, tree bool) (LatencyR
 			})
 		},
 	}
-	var res engine.RunResult
-	switch eng {
-	case "mpi":
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", procs-1); err != nil {
-			return row, err
-		}
-		res, err = mpiblast.Run(nodes, procs, cfg, job, mpiblast.Options{TreeMerge: tree})
-	case "pio":
-		res, err = core.Run(nodes, procs, cfg, job, core.Options{TreeMerge: tree, QueryBatch: 2})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
+	o, err := execute(runSpec{
+		lab: lab, plat: altix(), engineName: eng, procs: procs, queries: queries, cfg: cfg,
+		mpi: mpiblast.Options{TreeMerge: tree}, pio: core.Options{TreeMerge: tree, QueryBatch: 2},
+	})
 	if err != nil {
 		return row, err
 	}
-	row.Wall = res.Wall
-	row.Latency = report.LatencySummaryOf(res.QueryLatencies)
+	row.Wall = o.res.Wall
+	row.Latency = report.LatencySummaryOf(o.res.QueryLatencies)
 	row.Path = report.ExactCriticalPath(col)
 	return row, nil
 }
 
-// PrintLatencyRows renders the latency sweep: the percentile table plus
+// printLatencyRows renders the latency sweep: the percentile table plus
 // the critical-path blame breakdown per run.
-func PrintLatencyRows(w io.Writer, rows []LatencyRow) {
-	fmt.Fprintf(w, "\n== Per-query latency and exact critical path (ranks × protocols) ==\n")
+func printLatencyRows(w io.Writer, title string, rows []LatencyRow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%-10s %5s %5s | %8s %8s %8s %8s | %-14s %8s %8s %8s %8s %8s\n",
 		"protocol", "procs", "n",
 		"p50", "p95", "p99", "max",
@@ -158,4 +126,27 @@ func PrintLatencyRows(w io.Writer, rows []LatencyRow) {
 			ls.P50, ls.P95, ls.P99, ls.Max,
 			dominant, blame.Net, blame.PeerNotReady, blame.IO, blame.Search, blame.Other)
 	}
+}
+
+// latencySuiteRows flattens latency-sweep rows into the suite artifact's
+// row shape: the percentile block rides the summary's query_latency field,
+// and the critical path's dominant blame labels the row.
+func latencySuiteRows(rows []LatencyRow) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		label := r.Protocol
+		if r.Path != nil {
+			label = fmt.Sprintf("%s dominant=%s", r.Protocol, r.Path.Dominant)
+		}
+		out = append(out, report.SuiteRow{
+			Label:  label,
+			Engine: r.Engine,
+			Procs:  r.Procs,
+			Summary: report.RunSummary{
+				Wall:         r.Wall,
+				QueryLatency: r.Latency,
+			},
+		})
+	}
+	return out
 }

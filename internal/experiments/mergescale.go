@@ -8,6 +8,7 @@ import (
 
 	"parblast/internal/engine"
 	"parblast/internal/mpi"
+	"parblast/internal/report"
 	"parblast/internal/simtime"
 )
 
@@ -254,10 +255,10 @@ func MergeSpeedup(rows []MergeScaleRow) map[int]float64 {
 	return out
 }
 
-// PrintMergeScaleRows renders the scaling table with per-rank-count
-// speedup of the best tree fan-out over flat.
-func PrintMergeScaleRows(w io.Writer, rows []MergeScaleRow) {
-	fmt.Fprintf(w, "\n== Merge scalability: flat master-ingest vs hierarchical tree merge ==\n")
+// PrintMergeScaleRows renders the scaling table under title with
+// per-rank-count speedup of the best tree fan-out over flat.
+func PrintMergeScaleRows(w io.Writer, title string, rows []MergeScaleRow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%6s %8s %14s %10s %12s %10s %9s\n",
 		"ranks", "fanout", "masterMerge", "wall", "outBytes", "identical", "speedup")
 	speedup := MergeSpeedup(rows)
@@ -273,4 +274,26 @@ func PrintMergeScaleRows(w io.Writer, rows []MergeScaleRow) {
 		fmt.Fprintf(w, "%6d %8s %13.6fs %9.4fs %12d %10v %9s\n",
 			r.Ranks, fan, r.MasterMergeS, r.WallS, r.OutputBytes, r.Identical, sp)
 	}
+}
+
+// mergeScaleSuiteRows flattens merge-scalability rows into the suite
+// artifact's row shape: one row per (ranks, fanout) cell, phase-free.
+func mergeScaleSuiteRows(rows []MergeScaleRow) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		label := "flat"
+		if r.Fanout > 0 {
+			label = fmt.Sprintf("fanout=%d", r.Fanout)
+		}
+		out = append(out, report.SuiteRow{
+			Label:  label,
+			Engine: "mergescale",
+			Procs:  r.Ranks,
+			Summary: report.RunSummary{
+				Wall:        r.WallS,
+				OutputBytes: r.OutputBytes,
+			},
+		})
+	}
+	return out
 }

@@ -32,7 +32,7 @@ func TestMergeScaleShape(t *testing.T) {
 		t.Errorf("tree merge not faster than flat at 64 ranks (speedup %.2fx)", speedup[64])
 	}
 	var buf bytes.Buffer
-	PrintMergeScaleRows(&buf, rows)
+	PrintMergeScaleRows(&buf, "mergescale", rows)
 	if buf.Len() == 0 {
 		t.Error("empty table")
 	}

@@ -5,13 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"parblast/internal/core"
 	"parblast/internal/engine"
-	"parblast/internal/formatdb"
-	"parblast/internal/mpi"
-	"parblast/internal/mpiblast"
 	"parblast/internal/report"
-	"parblast/internal/vfs"
 	"parblast/internal/workload"
 )
 
@@ -115,14 +110,18 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 	if err != nil {
 		return row, err
 	}
-	serveJob := &engine.Job{DBBase: "nr", Queries: queries, Options: lab.Options, OutputPath: "results.out"}
-	res, stats, out, err := slaServe(lab, eng, serveJob, batches, admitCap)
+	spec := runSpec{
+		lab: lab, plat: altix(), engineName: eng, procs: slaProcs,
+		queries: queries, batches: batches, admitCap: admitCap,
+	}
+	served, err := execute(spec)
 	if err != nil {
 		return row, err
 	}
+	stats := served.stats
 	row.Arrivals, row.Admitted, row.Shed = stats.Arrivals, stats.Admitted, stats.Shed
-	row.Latency = report.LatencySummaryOf(res.QueryLatencies)
-	row.Result = res
+	row.Latency = report.LatencySummaryOf(served.res.QueryLatencies)
+	row.Result = served.res
 
 	// Byte-identity gate: a one-shot run over exactly the admitted queries
 	// must reproduce the streamed output file.
@@ -136,92 +135,23 @@ func runSLASpec(lab *Lab, eng, sweep string, acfg workload.ArrivalConfig, admitC
 			oracleQueries = append(oracleQueries, b.Queries...)
 		}
 	}
-	oracleJob := &engine.Job{DBBase: "nr", Queries: oracleQueries, Options: lab.Options, OutputPath: "results.out"}
-	oracleOut, err := slaOneShot(lab, eng, oracleJob)
+	spec.queries, spec.batches = oracleQueries, nil
+	oneShot, err := execute(spec)
 	if err != nil {
 		return row, err
 	}
-	if !bytes.Equal(out, oracleOut) {
-		return row, fmt.Errorf("streamed output differs from one-shot over admitted queries (%d vs %d bytes)", len(out), len(oracleOut))
+	if !bytes.Equal(served.out, oneShot.out) {
+		return row, fmt.Errorf("streamed output differs from one-shot over admitted queries (%d vs %d bytes)", len(served.out), len(oneShot.out))
 	}
-	if len(res.QueryLatencies) != len(oracleQueries) {
-		return row, fmt.Errorf("%d latencies for %d admitted queries", len(res.QueryLatencies), len(oracleQueries))
+	if len(served.res.QueryLatencies) != len(oracleQueries) {
+		return row, fmt.Errorf("%d latencies for %d admitted queries", len(served.res.QueryLatencies), len(oracleQueries))
 	}
 	return row, nil
 }
 
-// slaCluster provisions a fresh formatted cluster for one serving run.
-func slaCluster(lab *Lab, eng string) ([]*vfs.Node, error) {
-	plat := altix()
-	nodes, err := vfs.Cluster(slaProcs, plat.shared, plat.local)
-	if err != nil {
-		return nil, err
-	}
-	seqs, err := workload.SynthesizeDB(lab.DB)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := formatdb.Format(nodes[0].Shared, "nr", seqs, formatdb.Config{
-		Title: "synthetic nr", Kind: lab.DB.Kind,
-	}); err != nil {
-		return nil, err
-	}
-	if eng == "mpi" {
-		if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", slaProcs-1); err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
-}
-
-func slaServe(lab *Lab, eng string, job *engine.Job, batches []workload.Batch, admitCap int) (engine.RunResult, engine.ServeStats, []byte, error) {
-	nodes, err := slaCluster(lab, eng)
-	if err != nil {
-		return engine.RunResult{}, engine.ServeStats{}, nil, err
-	}
-	cfg := mpi.Config{Cost: lab.Cost}
-	var res engine.RunResult
-	var stats engine.ServeStats
-	switch eng {
-	case "mpi":
-		res, stats, err = mpiblast.Serve(nodes, slaProcs, cfg, job, mpiblast.Options{}, batches, admitCap)
-	case "pio":
-		res, stats, err = core.Serve(nodes, slaProcs, cfg, job, core.Options{}, batches, admitCap)
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
-	if err != nil {
-		return engine.RunResult{}, stats, nil, err
-	}
-	out, err := nodes[0].Shared.ReadFile(job.OutputPath)
-	if err != nil {
-		return engine.RunResult{}, stats, nil, err
-	}
-	return res, stats, out, nil
-}
-
-func slaOneShot(lab *Lab, eng string, job *engine.Job) ([]byte, error) {
-	nodes, err := slaCluster(lab, eng)
-	if err != nil {
-		return nil, err
-	}
-	switch eng {
-	case "mpi":
-		_, err = mpiblast.Run(nodes, slaProcs, mpi.Config{Cost: lab.Cost}, job, mpiblast.Options{})
-	case "pio":
-		_, err = core.Run(nodes, slaProcs, mpi.Config{Cost: lab.Cost}, job, core.Options{})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", eng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return nodes[0].Shared.ReadFile(job.OutputPath)
-}
-
-// PrintSLARows renders the serving-mode sweeps.
-func PrintSLARows(w io.Writer, rows []SLARow) {
-	fmt.Fprintf(w, "\n== Online serving: latency vs arrival rate (open-loop streams) ==\n")
+// printSLARows renders the serving-mode sweeps.
+func printSLARows(w io.Writer, title string, rows []SLARow) {
+	fmt.Fprintf(w, "\n== %s ==\n", title)
 	fmt.Fprintf(w, "%-18s %-6s %8s %6s %4s | %5s %5s %4s | %8s %8s %8s %8s\n",
 		"label", "sweep", "rate", "bmean", "cap",
 		"arr", "adm", "shed",
@@ -236,4 +166,31 @@ func PrintSLARows(w io.Writer, rows []SLARow) {
 			r.Arrivals, r.Admitted, r.Shed,
 			ls.P50, ls.P95, ls.P99, ls.Max)
 	}
+}
+
+// slaSuiteRows flattens serving-mode rows into the suite artifact's row
+// shape: the percentile block rides the summary's query_latency field and
+// the admission accounting rides the dedicated sla block.
+func slaSuiteRows(rows []SLARow) []report.SuiteRow {
+	out := make([]report.SuiteRow, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, report.SuiteRow{
+			Label:   r.Label,
+			Engine:  r.Engine,
+			Procs:   r.Procs,
+			Summary: report.SummaryOf(r.Result),
+			SLA: &report.SLAInfo{
+				Sweep:       r.Sweep,
+				ArrivalRate: r.Rate,
+				Burst:       r.Burst,
+				BatchMean:   r.BatchMean,
+				AdmitCap:    r.AdmitCap,
+				Arrivals:    r.Arrivals,
+				Admitted:    r.Admitted,
+				Shed:        r.Shed,
+				Saturated:   r.Shed > 0,
+			},
+		})
+	}
+	return out
 }

@@ -71,7 +71,7 @@ func TestSLAShape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintSLARows(&buf, rows)
+	printSLARows(&buf, "sla", rows)
 	if buf.Len() == 0 {
 		t.Error("empty table")
 	}

@@ -137,11 +137,16 @@ func decodeFetchKey(data []byte) (fetchKey, error) {
 // formatted database into n standalone fragment databases on the shared
 // file system and returns their base names. The paper counts this as
 // operational overhead OUTSIDE the timed run (it must be redone whenever
-// the worker count outgrows the fragment count).
+// the worker count outgrows the fragment count). A fragment holds at
+// least one sequence, so n above the database's sequence count is an
+// error.
 func PrepareFragments(fs *vfs.FS, dbBase string, n int) ([]string, error) {
 	db, err := formatdb.Open(fs, dbBase)
 	if err != nil {
 		return nil, err
+	}
+	if n > db.NumSeqs {
+		return nil, fmt.Errorf("mpiblast: %d fragments requested but database %q has only %d sequences", n, dbBase, db.NumSeqs)
 	}
 	frags, err := db.PhysicalFragment(fs, n)
 	if err != nil {

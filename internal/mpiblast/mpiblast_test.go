@@ -69,6 +69,12 @@ func TestPrepareFragments(t *testing.T) {
 	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "missing", 3); err == nil {
 		t.Fatal("missing database accepted")
 	}
+	// More fragments than sequences must fail loudly, naming both counts,
+	// instead of silently producing fewer fragments.
+	if _, err := mpiblast.PrepareFragments(nodes[0].Shared, "nr", 61); err == nil ||
+		!strings.Contains(err.Error(), "61") || !strings.Contains(err.Error(), "60") {
+		t.Fatalf("over-fragmenting not diagnosed: %v", err)
+	}
 }
 
 func TestRunRejectsBadConfigs(t *testing.T) {

@@ -69,17 +69,17 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
 go run ./scripts/validatereport -run "$tmp/lat1.json" -trace "$tmp/flows.json" \
     -latency -latency-second "$tmp/lat2.json"
 
-# Read-path smoke: the collective-read / prefetch experiment row must run
-# end to end on a scaled-down workload.
-go run ./cmd/benchsuite -exp readpath -dbseqs 120 -querybytes 1500 >/dev/null
-
-# Merge-scalability smoke: the flat-vs-tree merge sweep must run end to end
-# at small rank counts with byte-identical layouts across every fan-out.
-go run ./cmd/benchsuite -exp mergescale -mergescale-ranks 8,16 >/dev/null
-
-# Latency-experiment smoke: the ranks × protocols sweep must run end to
-# end on a scaled-down workload.
-go run ./cmd/benchsuite -exp latency -dbseqs 120 >/dev/null
+# Suite smoke: every experiment of the catalogue (fig1a … hetero, prep,
+# faults, mergescale, iotune, latency, sla) runs end to end through the CLI
+# on a scaled-down workload. The experiments enforce their own gates:
+# mergescale's byte-identical layouts across fan-outs, iotune's tuned ≤
+# fixed everywhere with a strict win somewhere, and sla's per-row byte
+# identity against a one-shot run. The suite artifact must then pass the
+# -sla gate (monotone percentiles, non-decreasing p99 along the rate sweep,
+# a saturation row) and the learned-hints artifact must validate.
+go run ./cmd/benchsuite -exp all -dbseqs 200 -querybytes 3000 -mergescale-ranks 8,16 \
+    -report "$tmp/suite.json" -hints-out "$tmp/hints.json" >/dev/null
+go run ./scripts/validatereport -sla "$tmp/suite.json" -hints "$tmp/hints.json"
 
 # Serving-mode smoke: a streamed run over a warm cluster must be
 # byte-identical to the one-shot run over the same queries — both engines.
@@ -94,19 +94,8 @@ go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -out "$tmp/served_mpi.txt" >/dev/null
 cmp "$tmp/results_mpi.txt" "$tmp/served_mpi.txt"
 
-# SLA smoke: the serving sweep (both engines, rate/batch/shed) must run end
-# to end on a scaled-down workload — every row byte-identity-gated inside
-# the experiment — and its suite artifact must pass the -sla gate (monotone
-# percentiles, non-decreasing p99 along the rate sweep, a saturation row).
-go run ./cmd/benchsuite -exp sla -dbseqs 120 -report "$tmp/sla.json" >/dev/null
-go run ./scripts/validatereport -sla "$tmp/sla.json"
-
-# I/O auto-tuning smoke: the tuned-vs-fixed study enforces its own gate
-# (tuned never regresses the fixed heuristics on any fs profile, strictly
-# beats them somewhere, byte-identity everywhere) and its learned-hints
-# artifact must validate and round-trip through parblast -io-hints.
-go run ./cmd/benchsuite -exp iotune -hints-out "$tmp/hints.json" >/dev/null
-go run ./scripts/validatereport -hints "$tmp/hints.json"
+# I/O hints round trip: hints learned by one parblast run must validate
+# and reproduce its output when a second run loads them.
 go run ./cmd/parblast -db "$tmp/db.fasta" -query "$tmp/q.fasta" \
     -engine pio -procs 4 -collective-read -io-tune "$tmp/hints2.json" \
     -out "$tmp/results_tune.txt" >/dev/null
