@@ -120,6 +120,11 @@ func msCombiner(r *mpi.Rank) func(a, b []byte) []byte {
 // msRun executes one (ranks, fanout) cell and returns the merged layout,
 // the master-clock merge span, and the wall time.
 func msRun(cost simtime.CostModel, ranks, fanout int) (layout []byte, mergeS, wallS float64, err error) {
+	// Every rank's tree calls share one read-only, ascending member list.
+	members := make([]int, ranks)
+	for i := range members {
+		members[i] = i
+	}
 	body := func(r *mpi.Rank) error {
 		n := r.Size()
 		if r.ID() == 0 {
@@ -144,10 +149,6 @@ func msRun(cost simtime.CostModel, ranks, fanout int) (layout []byte, mergeS, wa
 					r.Send(w, msTagSel, sel)
 				}
 			} else {
-				members := make([]int, n)
-				for i := range members {
-					members[i] = i
-				}
 				combined, contrib, terr := r.TreeReduce(0, fanout, members,
 					engine.EncodeQueryMetas(nil), msCombiner(r))
 				if terr != nil {
@@ -171,10 +172,6 @@ func msRun(cost simtime.CostModel, ranks, fanout int) (layout []byte, mergeS, wa
 				return derr
 			}
 			return nil
-		}
-		members := make([]int, r.Size())
-		for i := range members {
-			members[i] = i
 		}
 		if _, _, terr := r.TreeReduce(0, fanout, members, enc, msCombiner(r)); terr != nil {
 			return terr

@@ -8,9 +8,10 @@
 // exactly one rank executes (it holds the scheduler token). A rank runs
 // until it blocks — on a receive with no matching message, or inside a
 // collective — and then the scheduler hands the token to the eligible rank
-// with the smallest virtual time. This rule makes runs fully deterministic
-// (identical clocks, identical message orders) while still exercising the
-// real concurrent message-passing structure of the engines:
+// with the smallest virtual time, ties to the lowest rank id. This rule
+// makes runs fully deterministic (identical clocks, identical message
+// orders) while still exercising the real concurrent message-passing
+// structure of the engines:
 //
 //   - a rank that is ready to run is eligible at its own clock;
 //   - a rank blocked on a receive is eligible at max(clock, earliest
@@ -21,6 +22,19 @@
 // Because the scheduler always advances the globally earliest event, any
 // message sent in the future carries an arrival no earlier than the event
 // being executed, so receive choices (including AnySource) are exact.
+//
+// # Scheduler
+//
+// Eligible ranks wait in an indexed min-heap keyed by (eligible time, rank
+// id), so a handoff is O(log N). The key is filed when a rank parks — as
+// ready (its clock), or blocked on a receive (the rule above, including a
+// RecvTimeout deadline) — lowered when a Send lands a matching message in
+// a blocked receiver's inbox, and filed for every participant when a
+// collective releases. Keys never need raising because of one invariant:
+// a parked rank's clock never changes — only its own goroutine advances
+// it, and only while holding the token. Each rank waits on its own
+// condition variable, so a handoff wakes exactly the chosen goroutine; an
+// abort wakes them all.
 //
 // # Cost model
 //
@@ -161,11 +175,12 @@ type World struct {
 	config Config
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	wake []sync.Cond // per rank, on mu: signalled when the rank gets the token
 
 	ranks        []*Rank
 	states       []rankState
-	recvSrc      []int // per rank, when blocked on recv
+	ready        readyHeap // eligible parked ranks
+	recvSrc      []int     // per rank, when blocked on recv
 	recvTag      []int
 	recvDeadline []float64 // virtual-time deadline, +Inf for plain Recv
 	inbox        [][]message
@@ -173,6 +188,8 @@ type World struct {
 	collOf       []*collective
 	seq          int64
 	active       int
+	parked       int // ranks that have parked for their first grant
+	live         int // ranks that have not crashed
 	doneCount    int
 	aborted      bool
 	abortMsg     string
@@ -395,13 +412,16 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		n:            n,
 		cost:         cost,
 		config:       cfg,
+		wake:         make([]sync.Cond, n),
 		states:       make([]rankState, n),
+		ready:        newReadyHeap(n),
 		recvSrc:      make([]int, n),
 		recvTag:      make([]int, n),
 		recvDeadline: make([]float64, n),
 		inbox:        make([][]message, n),
 		collOf:       make([]*collective, n),
 		active:       -1,
+		live:         n,
 		crashAt:      make([]float64, n),
 		degradeAt:    make([]float64, n),
 		degradeSlow:  make([]float64, n),
@@ -409,6 +429,7 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 		crashTime:    make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
+		w.wake[i].L = &w.mu
 		w.recvDeadline[i] = math.Inf(1)
 		w.crashAt[i] = math.Inf(1)
 		w.degradeAt[i] = math.Inf(1)
@@ -441,7 +462,6 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 			return nil, fmt.Errorf("mpi: unknown fault kind %d for rank %d", int(f.Kind), f.Rank)
 		}
 	}
-	w.cond = sync.NewCond(&w.mu)
 	clocks := make([]*simtime.Clock, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -482,13 +502,6 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 			}
 		}(w.ranks[i])
 	}
-	// Kick the scheduler once every goroutine has parked as ready.
-	w.mu.Lock()
-	for w.readyCountLocked() < n {
-		w.cond.Wait()
-	}
-	w.scheduleLocked()
-	w.mu.Unlock()
 	wg.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -501,31 +514,33 @@ func RunConfig(n int, cfg Config, body func(*Rank) error) ([]*simtime.Clock, err
 	return clocks, nil
 }
 
-func (w *World) readyCountLocked() int {
-	c := 0
-	for _, s := range w.states {
-		if s == stateReady {
-			c++
-		}
-	}
-	return c
-}
-
 // waitActiveInitial parks the rank as ready and waits for its first grant.
+// The last rank to park hands out the first token.
 func (r *Rank) waitActiveInitial() {
 	w := r.world
 	w.mu.Lock()
 	w.states[r.id] = stateReady
-	w.cond.Broadcast() // let Run see that we parked
+	w.ready.push(r.id, r.clock.Now())
+	if w.parked++; w.parked == w.n {
+		w.scheduleLocked()
+	}
+	r.awaitTokenLocked()
+	w.mu.Unlock()
+}
+
+// awaitTokenLocked sleeps until the scheduler grants this rank the token,
+// then marks it running. On abort it unwinds the goroutine instead. Caller
+// holds w.mu (released on the abort path only).
+func (r *Rank) awaitTokenLocked() {
+	w := r.world
 	for w.active != r.id && !w.aborted {
-		w.cond.Wait()
+		w.wake[r.id].Wait()
 	}
 	if w.aborted {
 		w.mu.Unlock()
 		panic(abortPanic{w.abortMsg})
 	}
 	w.states[r.id] = stateRunning
-	w.mu.Unlock()
 }
 
 // finishRank marks the rank done and hands the token onward.
@@ -540,42 +555,15 @@ func (w *World) finishRank(id int) {
 	w.mu.Unlock()
 }
 
-// scheduleLocked picks the eligible rank with the smallest virtual time and
-// grants it the token. Caller holds w.mu and has already parked itself.
+// scheduleLocked grants the token to the eligible rank with the smallest
+// (eligible time, rank id) and wakes that rank alone. Caller holds w.mu and
+// has already parked itself.
 func (w *World) scheduleLocked() {
 	if w.aborted {
-		w.cond.Broadcast()
-		return
+		return // abortLocked has already woken every rank
 	}
-	bestRank := -1
-	bestTime := math.Inf(1)
-	for i := 0; i < w.n; i++ {
-		var t float64
-		switch w.states[i] {
-		case stateReady:
-			t = w.ranks[i].clock.Now()
-		case stateBlockedRecv:
-			t = math.Inf(1)
-			if m, ok := w.earliestMatchLocked(i); ok {
-				t = math.Max(w.ranks[i].clock.Now(), m.arrival)
-			}
-			// A receive with a deadline is always eligible: it wakes at
-			// the earlier of the match and the timeout.
-			if dl := w.recvDeadline[i]; dl < t {
-				t = math.Max(w.ranks[i].clock.Now(), dl)
-			}
-			if math.IsInf(t, 1) {
-				continue
-			}
-		default:
-			continue
-		}
-		if t < bestTime || (t == bestTime && i < bestRank) {
-			bestTime = t
-			bestRank = i
-		}
-	}
-	if bestRank < 0 {
+	next := w.ready.pop()
+	if next < 0 {
 		if w.doneCount == w.n {
 			return // clean finish
 		}
@@ -593,14 +581,33 @@ func (w *World) scheduleLocked() {
 		w.abortLocked("deadlock: " + w.stateDumpLocked())
 		return
 	}
-	w.active = bestRank
-	w.cond.Broadcast()
+	w.active = next
+	w.wake[next].Signal()
 }
 
 func (w *World) abortLocked(msg string) {
 	w.aborted = true
 	w.abortMsg = msg
-	w.cond.Broadcast()
+	for i := range w.wake {
+		w.wake[i].Signal()
+	}
+}
+
+// recvEligibleLocked is when rank i, blocked on a receive, becomes
+// eligible: max(clock, earliest matching arrival), pulled in to
+// max(clock, deadline) by a RecvTimeout deadline; +Inf while neither
+// exists.
+func (w *World) recvEligibleLocked(i int) float64 {
+	t := math.Inf(1)
+	if k := w.earliestMatchLocked(i); k >= 0 {
+		t = math.Max(w.ranks[i].clock.Now(), w.inbox[i][k].arrival)
+	}
+	// A receive with a deadline is always eligible: it wakes at the
+	// earlier of the match and the timeout.
+	if dl := w.recvDeadline[i]; dl < t {
+		t = math.Max(w.ranks[i].clock.Now(), dl)
+	}
+	return t
 }
 
 // crashDumpLocked lists crashed ranks, or "" when none crashed.
@@ -630,34 +637,34 @@ func (w *World) stateDumpLocked() string {
 	return b.String()
 }
 
-// earliestMatchLocked finds the queued message for rank i's pending receive
-// with the smallest (arrival, seq).
-func (w *World) earliestMatchLocked(i int) (message, bool) {
+// matches reports whether m satisfies a (src, tag) receive filter.
+func (m *message) matches(src, tag int) bool {
+	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+}
+
+// earliestMatchLocked returns the inbox index of the queued message for
+// rank i's pending receive with the smallest (arrival, seq), or -1.
+func (w *World) earliestMatchLocked(i int) int {
 	src, tag := w.recvSrc[i], w.recvTag[i]
+	q := w.inbox[i]
 	best := -1
-	for k, m := range w.inbox[i] {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			if best < 0 || m.arrival < w.inbox[i][best].arrival ||
-				(m.arrival == w.inbox[i][best].arrival && m.seq < w.inbox[i][best].seq) {
+	for k := range q {
+		if q[k].matches(src, tag) {
+			if best < 0 || q[k].arrival < q[best].arrival ||
+				(q[k].arrival == q[best].arrival && q[k].seq < q[best].seq) {
 				best = k
 			}
 		}
 	}
-	if best < 0 {
-		return message{}, false
-	}
-	return w.inbox[i][best], true
+	return best
 }
 
-func (w *World) takeMessageLocked(i int, m message) {
+// takeMessageLocked removes and returns message k of rank i's inbox.
+func (w *World) takeMessageLocked(i, k int) message {
 	q := w.inbox[i]
-	for k := range q {
-		if q[k].seq == m.seq {
-			w.inbox[i] = append(q[:k], q[k+1:]...)
-			return
-		}
-	}
-	panic("mpi: message vanished from inbox")
+	m := q[k]
+	w.inbox[i] = append(q[:k], q[k+1:]...)
+	return m
 }
 
 // block parks the calling (active) rank in the given state, runs the
@@ -666,16 +673,17 @@ func (w *World) takeMessageLocked(i int, m message) {
 func (r *Rank) blockLocked(s rankState) {
 	w := r.world
 	w.states[r.id] = s
+	switch s {
+	case stateReady:
+		w.ready.push(r.id, r.clock.Now())
+	case stateBlockedRecv:
+		if t := w.recvEligibleLocked(r.id); !math.IsInf(t, 1) {
+			w.ready.push(r.id, t)
+		}
+	}
 	w.active = -1
 	w.scheduleLocked()
-	for w.active != r.id && !w.aborted {
-		w.cond.Wait()
-	}
-	if w.aborted {
-		w.mu.Unlock()
-		panic(abortPanic{w.abortMsg})
-	}
-	w.states[r.id] = stateRunning
+	r.awaitTokenLocked()
 }
 
 // maybeCrash fires this rank's scheduled crash if its clock has reached
@@ -697,6 +705,7 @@ func (r *Rank) maybeCrash() {
 	}
 	w.crashed[r.id] = true
 	w.crashTime[r.id] = now
+	w.live--
 	w.maybeCompleteCollectiveLocked()
 	w.mu.Unlock()
 	if w.config.OnFault != nil {
@@ -705,22 +714,11 @@ func (r *Rank) maybeCrash() {
 	panic(crashPanic{r.id})
 }
 
-// liveCountLocked counts ranks that have not crashed.
-func (w *World) liveCountLocked() int {
-	live := w.n
-	for _, c := range w.crashed {
-		if c {
-			live--
-		}
-	}
-	return live
-}
-
 // maybeCompleteCollectiveLocked finishes an in-progress collective when
 // every live rank has already joined — the path a crash takes so survivors
 // are not stranded waiting for the dead.
 func (w *World) maybeCompleteCollectiveLocked() {
-	if c := w.coll; c != nil && c.count >= w.liveCountLocked() {
+	if c := w.coll; c != nil && c.count >= w.live {
 		w.completeCollectiveLocked(c)
 	}
 }
@@ -743,6 +741,7 @@ func (w *World) completeCollectiveLocked(c *collective) {
 	for i := 0; i < w.n; i++ {
 		if w.states[i] == stateBlockedColl && w.collOf[i] == c {
 			w.states[i] = stateReady
+			w.ready.push(i, w.ranks[i].clock.Now())
 		}
 	}
 	w.emitCollectiveFlowsLocked(c)
@@ -1072,7 +1071,7 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		return
 	}
 	w.seq++
-	w.inbox[dst] = append(w.inbox[dst], message{
+	m := message{
 		src:     r.id,
 		tag:     tag,
 		data:    data,
@@ -1080,7 +1079,12 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 		seq:     w.seq,
 		batch:   r.traceBatch,
 		sendAt:  r.clock.Now(),
-	})
+	}
+	w.inbox[dst] = append(w.inbox[dst], m)
+	// A match for a blocked receiver can only pull its eligibility earlier.
+	if w.states[dst] == stateBlockedRecv && m.matches(w.recvSrc[dst], w.recvTag[dst]) {
+		w.ready.lower(dst, math.Max(w.ranks[dst].clock.Now(), m.arrival))
+	}
 	w.mu.Unlock()
 }
 
@@ -1096,8 +1100,8 @@ func (r *Rank) Recv(src, tag int) (data []byte, from, gotTag int) {
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
 	w.recvDeadline[r.id] = math.Inf(1)
 	for {
-		if m, ok := w.earliestMatchLocked(r.id); ok {
-			w.takeMessageLocked(r.id, m)
+		if k := w.earliestMatchLocked(r.id); k >= 0 {
+			m := w.takeMessageLocked(r.id, k)
 			w.mu.Unlock()
 			r.clock.AdvanceTo(m.arrival)
 			r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
@@ -1134,8 +1138,8 @@ func (r *Rank) RecvTimeout(src, tag int, timeout float64) (data []byte, from, go
 	w.recvDeadline[r.id] = deadline
 	waited := false
 	for {
-		if m, ok := w.earliestMatchLocked(r.id); ok && math.Max(r.clock.Now(), m.arrival) <= deadline {
-			w.takeMessageLocked(r.id, m)
+		if k := w.earliestMatchLocked(r.id); k >= 0 && math.Max(r.clock.Now(), w.inbox[r.id][k].arrival) <= deadline {
+			m := w.takeMessageLocked(r.id, k)
 			w.recvDeadline[r.id] = math.Inf(1)
 			w.mu.Unlock()
 			r.clock.AdvanceTo(m.arrival)
@@ -1177,12 +1181,12 @@ func (r *Rank) TryRecv(src, tag int) (data []byte, from, gotTag int, ok bool) {
 	w.mu.Lock()
 	w.recvSrc[r.id], w.recvTag[r.id] = src, tag
 	w.recvDeadline[r.id] = math.Inf(1)
-	m, found := w.earliestMatchLocked(r.id)
-	if !found || m.arrival > r.clock.Now() {
+	k := w.earliestMatchLocked(r.id)
+	if k < 0 || w.inbox[r.id][k].arrival > r.clock.Now() {
 		w.mu.Unlock()
 		return nil, 0, 0, false
 	}
-	w.takeMessageLocked(r.id, m)
+	m := w.takeMessageLocked(r.id, k)
 	w.mu.Unlock()
 	r.clock.Advance(float64(len(m.data)) / w.cost.NetBandwidth)
 	r.deliverFlow(m)
@@ -1239,7 +1243,7 @@ func (r *Rank) runCollective(op string, data []byte, release func(datas [][]byte
 	c.joined[r.id] = true
 	c.count++
 	w.collOf[r.id] = c
-	if c.count < w.liveCountLocked() {
+	if c.count < w.live {
 		r.blockLocked(stateBlockedColl)
 		w.mu.Unlock()
 		r.clock.AdvanceTo(c.releaseAt)

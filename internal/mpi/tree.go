@@ -11,7 +11,9 @@
 //
 // Members are sorted ascending and the root rotated to position 0; the
 // node at position p has parent (p-1)/fanout and children fanout·p+1 …
-// fanout·p+fanout. Every rank derives the identical topology locally.
+// fanout·p+fanout. Every rank derives the identical topology locally, and
+// deriving it allocates nothing when the caller's member list is already
+// ascending.
 //
 // # Crash handling
 //
@@ -58,54 +60,84 @@ const (
 // counts the experiments sweep.
 const DefaultTreeFanout = 4
 
-// treeTopo is the deterministic k-ary layout of one member list.
+// treeTopo is the deterministic k-ary layout of one member list, stored as
+// the ascending members plus the root's index among them: position 0 is
+// the root, positions 1 … ri hold sorted[0 … ri-1], and positions past ri
+// hold the members above the root.
 type treeTopo struct {
-	fanout  int
-	members []int       // position-ordered: members[0] is the root rank
-	pos     map[int]int // rank -> position
+	fanout int
+	sorted []int // ascending members: the caller's slice when already ascending
+	ri     int   // index of the root in sorted
 }
 
 func newTreeTopo(root, fanout int, members []int) treeTopo {
 	if fanout < 2 {
 		panic(fmt.Sprintf("mpi: tree fanout %d < 2", fanout))
 	}
-	ms := append([]int(nil), members...)
-	sort.Ints(ms)
-	for i := 1; i < len(ms); i++ {
-		if ms[i] == ms[i-1] {
-			panic(fmt.Sprintf("mpi: duplicate tree member %d", ms[i]))
+	sorted := members
+	if !strictlyAscending(members) {
+		sorted = append([]int(nil), members...)
+		sort.Ints(sorted)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				panic(fmt.Sprintf("mpi: duplicate tree member %d", sorted[i]))
+			}
 		}
 	}
-	ri := -1
-	for i, m := range ms {
-		if m == root {
-			ri = i
-			break
-		}
-	}
-	if ri < 0 {
+	ri := sort.SearchInts(sorted, root)
+	if ri == len(sorted) || sorted[ri] != root {
 		panic(fmt.Sprintf("mpi: tree root %d not in members", root))
 	}
-	// Rotate the root to the front, keeping everyone else ascending.
-	ordered := make([]int, 0, len(ms))
-	ordered = append(ordered, root)
-	ordered = append(ordered, ms[:ri]...)
-	ordered = append(ordered, ms[ri+1:]...)
-	t := treeTopo{fanout: fanout, members: ordered, pos: make(map[int]int, len(ordered))}
-	for i, m := range ordered {
-		t.pos[m] = i
+	return treeTopo{fanout: fanout, sorted: sorted, ri: ri}
+}
+
+func strictlyAscending(xs []int) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return false
+		}
 	}
-	return t
+	return true
+}
+
+// size is the member count.
+func (t treeTopo) size() int { return len(t.sorted) }
+
+// member returns the rank at position p.
+func (t treeTopo) member(p int) int {
+	switch {
+	case p == 0:
+		return t.sorted[t.ri]
+	case p <= t.ri:
+		return t.sorted[p-1]
+	default:
+		return t.sorted[p]
+	}
+}
+
+// posOf returns rank's position, or ok=false when it is not a member.
+func (t treeTopo) posOf(rank int) (p int, ok bool) {
+	i := sort.SearchInts(t.sorted, rank)
+	switch {
+	case i == len(t.sorted) || t.sorted[i] != rank:
+		return -1, false
+	case i == t.ri:
+		return 0, true
+	case i < t.ri:
+		return i + 1, true
+	default:
+		return i, true
+	}
 }
 
 func (t treeTopo) parent(p int) int { return (p - 1) / t.fanout }
 
-func (t treeTopo) children(p int) []int {
-	var out []int
-	for c := t.fanout*p + 1; c <= t.fanout*p+t.fanout && c < len(t.members); c++ {
-		out = append(out, c)
-	}
-	return out
+// children returns the half-open position range [first, end) of p's
+// children (empty for a leaf).
+func (t treeTopo) children(p int) (first, end int) {
+	first = min(t.fanout*p+1, t.size())
+	end = min(t.fanout*p+t.fanout+1, t.size())
+	return first, end
 }
 
 // depth is the number of hops from position p to the root.
@@ -120,17 +152,19 @@ func (t treeTopo) depth(p int) int {
 
 // maxDepth is the height of the whole tree.
 func (t treeTopo) maxDepth() int {
-	if len(t.members) <= 1 {
+	if t.size() <= 1 {
 		return 0
 	}
-	return t.depth(len(t.members) - 1)
+	return t.depth(t.size() - 1)
 }
 
 // subtree lists the positions rooted at p (p first, then ascending).
 func (t treeTopo) subtree(p int) []int {
 	out := []int{p}
 	for i := 0; i < len(out); i++ {
-		out = append(out, t.children(out[i])...)
+		for c, end := t.children(out[i]); c < end; c++ {
+			out = append(out, c)
+		}
 	}
 	sort.Ints(out)
 	return out
@@ -141,7 +175,7 @@ func (t treeTopo) subtree(p int) []int {
 // condition under which m's contribution cannot reach anc anymore.
 func (t treeTopo) chainDead(r *Rank, m, anc int) bool {
 	for p := m; p != anc; p = t.parent(p) {
-		if !r.Failed(t.members[p]) {
+		if !r.Failed(t.member(p)) {
 			return false
 		}
 	}
@@ -153,7 +187,7 @@ func (t treeTopo) chainDead(r *Rank, m, anc int) bool {
 // been re-routed or lost, justifying a grace-period give-up.
 func (t treeTopo) chainDamaged(r *Rank, m, anc int) bool {
 	for p := m; p != anc; p = t.parent(p) {
-		if r.Failed(t.members[p]) {
+		if r.Failed(t.member(p)) {
 			return true
 		}
 	}
@@ -165,11 +199,11 @@ func (t treeTopo) chainDamaged(r *Rank, m, anc int) bool {
 func (t treeTopo) firstLiveAncestor(r *Rank, p int) int {
 	for p > 0 {
 		p = t.parent(p)
-		if !r.Failed(t.members[p]) {
+		if !r.Failed(t.member(p)) {
 			return p
 		}
 	}
-	if r.Failed(t.members[0]) {
+	if r.Failed(t.member(0)) {
 		return -1
 	}
 	return 0
@@ -318,7 +352,7 @@ func (r *Rank) treeTimeout() float64 { return 250 * r.world.cost.NetLatency }
 // forwarding ancestors die mid-protocol.
 func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
 	t := newTreeTopo(root, fanout, members)
-	myPos, ok := t.pos[r.id]
+	myPos, ok := t.posOf(r.id)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d called TreeReduce without being a member", r.id))
 	}
@@ -330,7 +364,7 @@ func (r *Rank) TreeReduce(root, fanout int, members []int, data []byte, combine 
 			reg.Gauge("mpi.tree.depth", r.id).Set(float64(t.maxDepth()))
 		}
 	}
-	if len(t.members) == 1 {
+	if t.size() == 1 {
 		return data, []int{r.id}, nil
 	}
 	if !r.FaultsScheduled() {
@@ -359,8 +393,8 @@ func foldBundles(self int, data []byte, stash []treeBundle, combine func(a, b []
 func (r *Rank) treeReduceFast(t treeTopo, myPos int, data []byte, combine func(a, b []byte) []byte) ([]byte, []int, error) {
 	round := r.nextTreeRound(tagTreeReduce)
 	var stash []treeBundle
-	for _, c := range t.children(myPos) {
-		raw, _, _ := r.Recv(t.members[c], tagTreeReduce)
+	for c, end := t.children(myPos); c < end; c++ {
+		raw, _, _ := r.Recv(t.member(c), tagTreeReduce)
 		b, ok := decodeTreeBundle(raw)
 		if !ok {
 			return nil, nil, fmt.Errorf("mpi: rank %d received corrupt tree bundle", r.id)
@@ -374,7 +408,7 @@ func (r *Rank) treeReduceFast(t treeTopo, myPos int, data []byte, combine func(a
 	b := treeBundle{round: round, covered: covered, resolved: covered, payload: combined}
 	raw := b.encode()
 	r.recordTreeEdge(t.depth(myPos), int64(len(raw)))
-	r.Send(t.members[t.parent(myPos)], tagTreeReduce, raw)
+	r.Send(t.member(t.parent(myPos)), tagTreeReduce, raw)
 	return nil, nil, nil
 }
 
@@ -443,12 +477,12 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 		stash = append(stash, b)
 		for _, c := range b.covered {
 			coveredSet[c] = true
-			if p, ok := t.pos[c]; ok {
+			if p, ok := t.posOf(c); ok {
 				resolved[p] = true
 			}
 		}
 		for _, c := range b.resolved {
-			if p, ok := t.pos[c]; ok {
+			if p, ok := t.posOf(c); ok {
 				resolved[p] = true
 			}
 		}
@@ -458,7 +492,7 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 	resolvedRanks := make([]int, 0, len(sub))
 	for _, p := range sub {
 		if resolved[p] {
-			resolvedRanks = append(resolvedRanks, t.members[p])
+			resolvedRanks = append(resolvedRanks, t.member(p))
 		}
 	}
 	sort.Ints(resolvedRanks)
@@ -469,7 +503,7 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 			b := treeBundle{round: round, covered: covered, resolved: resolvedRanks, payload: combined}
 			raw := b.encode()
 			r.recordTreeEdge(t.depth(myPos), int64(len(raw)))
-			r.Send(t.members[anc], tagTreeReduce, raw)
+			r.Send(t.member(anc), tagTreeReduce, raw)
 		}
 	}
 
@@ -480,7 +514,7 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 	myReport := treeReport{covered: covered}
 	reports := r.AllGather(myReport.encode())
 	rootCovered := make(map[int]bool)
-	rootRank := t.members[0]
+	rootRank := t.member(0)
 	if rep, ok := decodeTreeReport(reports[rootRank]); ok {
 		for _, c := range rep.covered {
 			rootCovered[c] = true
@@ -491,7 +525,8 @@ func (r *Rank) treeReduceCrash(t treeTopo, myPos int, data []byte, combine func(
 		covered []int
 	}
 	var candidates []holder
-	for _, m := range t.members[1:] {
+	for p := 1; p < t.size(); p++ {
+		m := t.member(p)
 		if reports[m] == nil {
 			continue // crashed before the safety net: nothing to recover
 		}
@@ -643,7 +678,7 @@ func mergeLabeledBlobs(a, b []byte) []byte {
 // survivors (members must then include every live rank).
 func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 	t := newTreeTopo(root, fanout, members)
-	myPos, ok := t.pos[r.id]
+	myPos, ok := t.posOf(r.id)
 	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d called TreeBcast without being a member", r.id))
 	}
@@ -653,7 +688,7 @@ func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 		own = int64(len(data))
 	}
 	r.recordTreeOp("treebcast", own)
-	if len(t.members) == 1 {
+	if t.size() == 1 {
 		return data
 	}
 	if r.FaultsScheduled() {
@@ -665,12 +700,12 @@ func (r *Rank) TreeBcast(root, fanout int, members []int, data []byte) []byte {
 	}
 	payload := data
 	if myPos != 0 {
-		raw, _, _ := r.Recv(t.members[t.parent(myPos)], tagTreeBcast)
+		raw, _, _ := r.Recv(t.member(t.parent(myPos)), tagTreeBcast)
 		payload = raw
 	}
-	for _, c := range t.children(myPos) {
+	for c, end := t.children(myPos); c < end; c++ {
 		r.recordTreeEdge(t.depth(c), int64(len(payload)))
-		r.Send(t.members[c], tagTreeBcast, payload)
+		r.Send(t.member(c), tagTreeBcast, payload)
 	}
 	return payload
 }
@@ -687,22 +722,22 @@ func (r *Rank) TreeBarrier(root, fanout int, members []int) {
 		return
 	}
 	t := newTreeTopo(root, fanout, members)
-	if _, ok := t.pos[r.id]; !ok {
+	myPos, ok := t.posOf(r.id)
+	if !ok {
 		panic(fmt.Sprintf("mpi: rank %d called TreeBarrier without being a member", r.id))
 	}
-	if len(t.members) == 1 {
+	if t.size() == 1 {
 		return
 	}
-	myPos := t.pos[r.id]
 	none := func(a, b []byte) []byte { return nil }
 	if _, _, err := r.treeReduceFast(t, myPos, nil, none); err != nil {
 		panic("mpi: tree barrier reduce failed: " + err.Error())
 	}
 	payload := []byte(nil)
 	if myPos != 0 {
-		payload, _, _ = r.Recv(t.members[t.parent(myPos)], tagTreeBcast)
+		payload, _, _ = r.Recv(t.member(t.parent(myPos)), tagTreeBcast)
 	}
-	for _, c := range t.children(myPos) {
-		r.Send(t.members[c], tagTreeBcast, payload)
+	for c, end := t.children(myPos); c < end; c++ {
+		r.Send(t.member(c), tagTreeBcast, payload)
 	}
 }

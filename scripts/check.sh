@@ -43,6 +43,9 @@ go test -run=- -fuzz=FuzzWireQueries -fuzztime=5s ./internal/engine
 go test -run=- -fuzz=FuzzReportParse -fuzztime=5s ./internal/report
 go test -run=- -fuzz=FuzzFlowGraph -fuzztime=5s ./internal/trace
 go test -run=- -bench=SearchFragment -benchtime=1x ./internal/blast
+# Scheduler scale smoke: the mpi benchmarks (Barrier at 16–4096 ranks, a
+# 1024-rank token ring and TreeReduce) execute once each.
+go test -run=- -bench=. -benchtime=1x ./internal/mpi
 go run ./examples/quickstart >/dev/null
 
 # Telemetry smoke: a tiny end-to-end run must produce a parseable run
